@@ -4,10 +4,6 @@
         ``repro serve`` with the layer wrappers of ``tracer.py`` installed;
         SIGUSR1 writes the spans to FILE. (Untraced runs start
         ``python -m repro serve`` directly.)
-    program.py fleet --seed N --scale S --seconds T --launched T0 [--trace FILE]
-        fleet_period: offline periods through ``PricingService.dispatch``.
-    program.py fleet-setup --seed N --scale S --launched T0
-        One fleet_period set-up alone (imports, service, Configure).
     program.py check --wal-dir D --expect FILE [--trace FILE]
         Recover a killed server's WAL directory, check what the served
         requests promised, run the period to its end and check the
@@ -19,11 +15,8 @@ Each command prints one JSON object as its last line of output.
 from __future__ import annotations
 
 import argparse
-import gc
-import hashlib
 import json
 import os
-import resource
 import signal
 import sys
 import time
@@ -33,16 +26,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 sys.path.insert(0, HERE)
 
 from repro.cloudsim.events import BidPlaced, BidRevised  # noqa: E402
-from repro.gateway.envelopes import (  # noqa: E402
-    AdvanceSlots,
-    LedgerReply,
-    LedgerQuery,
-    SlotReply,
-)
 from repro.gateway.service import PricingService  # noqa: E402
 
 import tracer as tracing  # noqa: E402
-import workloads  # noqa: E402
 
 TOLERANCE = 1e-9
 
@@ -69,23 +55,9 @@ def guarantees(report, costs: dict, declared: dict) -> list:
     return errors[:5]
 
 
-def digest(report) -> str:
-    """Hash of the outcome: implemented games, grants and payments."""
-    h = hashlib.sha256()
-    for part in (report.implemented, report.granted_at, report.payments):
-        for key, value in sorted(part.items(), key=lambda kv: repr(kv[0])):
-            h.update(repr((key, float(value).hex())).encode())
-        h.update(b"|")
-    return h.hexdigest()
-
-
 def _costs(service) -> dict:
     catalog = service.fleet.catalog
     return {game: catalog.get(game).cost for game in catalog}
-
-
-def _rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _emit(result: dict) -> int:
@@ -103,148 +75,6 @@ def cmd_serve(args) -> int:
     tracing.install(tracer)
     signal.signal(signal.SIGUSR1, lambda *_: tracer.dump(args.trace))
     return main(["serve", *args.rest])
-
-
-# ------------------------------------------------------------------ fleet --
-
-
-def _phase(before: dict, after: dict, name: str):
-    """(calls, total s, self s) of one wrapped name between two totals."""
-    old = before.get(name, (0, 0.0, 0.0))
-    new = after.get(name, (0, 0.0, 0.0))
-    return new[0] - old[0], new[1] - old[1], new[2] - old[2]
-
-
-def cmd_fleet_setup(args) -> int:
-    configure = workloads.fleet_configure(workloads.SIZES[args.scale])
-    service = PricingService()
-    service.dispatch(configure)
-    return _emit({"setup_s": time.monotonic() - args.launched})
-
-
-def cmd_fleet(args) -> int:
-    size = workloads.SIZES[args.scale]
-    tracer = None
-    if args.trace:
-        tracer = tracing.Tracer()
-        tracing.install(tracer)
-    generated = time.monotonic()
-    configure, requests, declared, readers = workloads.fleet_inputs(
-        args.seed, size
-    )
-    generated = time.monotonic() - generated
-    # The inputs stay resident across periods only because the benchmark
-    # replays them; keep them out of the collector's generations.
-    gc.collect()
-    gc.freeze()
-    service = PricingService()
-    service.dispatch(configure)
-    setup_s = time.monotonic() - args.launched - generated
-
-    errors: list = []
-    periods = []
-    writes: list = []
-    reads: list = []
-    attempted = failed = 0
-    timed = 0.0
-    clock = time.monotonic
-    while len(periods) < size.min_periods or timed < args.seconds:
-        if periods:
-            service = PricingService()
-            service.dispatch(configure)
-        gc.collect()  # the last period's garbage is not this period's work
-        totals = tracer.totals() if tracer else None
-        first_row = len(tracer.rows) if tracer else 0
-        start = clock()
-        acks = service.dispatch(requests)
-        writes.append(clock() - start)
-        attempted += len(requests)
-        if acks.failed is not None:
-            failed += len(requests)
-            errors.append(f"intake failed: {acks.failed.message}")
-        for slot in range(1, size.fleet_slots + 1):
-            began = clock()
-            reply = service.dispatch(AdvanceSlots(slots=1))
-            writes.append(clock() - began)
-            attempted += 1
-            if not isinstance(reply, SlotReply) or reply.slot != slot:
-                failed += 1
-                errors.append(f"tick {slot}: {reply!r}"[:300])
-        period_s = clock() - start
-        if tracer:
-            layers = _fleet_layers(tracer, totals, first_row, period_s)
-        report = service.report()
-        for user in readers:
-            began = clock()
-            reply = service.dispatch(LedgerQuery(tenant=user))
-            reads.append(clock() - began)
-            attempted += 1
-            paid = report.payments.get(user, 0.0)
-            if (
-                not isinstance(reply, LedgerReply)
-                or abs(reply.total - paid) > TOLERANCE * max(1.0, paid)
-            ):
-                failed += 1
-                errors.append(f"ledger of {user}: {reply!r} vs paid {paid}"[:300])
-        timed += clock() - start
-        record = {
-            "period_s": period_s,
-            "users_per_s": len(requests) / period_s,
-            "digest": digest(report),
-            "events": len(report.events),
-            "ledger_entries": len(report.ledger.entries),
-        }
-        errors.extend(guarantees(report, _costs(service), declared))
-        if tracer:
-            record.update(layers)
-        periods.append(record)
-        del report, acks, service
-
-    digests = {p["digest"] for p in periods}
-    if len(digests) != 1:
-        errors.append(f"outcome digest differs across periods: {sorted(digests)}")
-    result = {
-        "setup_s": setup_s,
-        "generate_s": generated,
-        "periods": periods,
-        "writes": writes,
-        "reads": reads,
-        "attempted": attempted,
-        "failed": failed,
-        "errors": errors[:10],
-        "peak_rss_mb": _rss_mb(),
-    }
-    if tracer:
-        tracer.dump(args.trace)
-    return _emit(result)
-
-
-def _fleet_layers(tracer, before, first_row, period_s) -> dict:
-    after = tracer.totals()
-    dispatch = _phase(before, after, "service.dispatch")
-    intake = _phase(before, after, "fleet.ingest_many")
-    advance = _phase(before, after, "fleet.advance_slots")
-    solve = _phase(before, after, "core.apply_changes")
-    exit_price = _phase(before, after, "core.exit_price")
-    ticks = sorted(
-        span["end"] - span["start"]
-        for span in tracer.spans(first_row)
-        if span["name"] == "fleet.advance_slots"
-    )
-    return {
-        "service.dispatch_calls": dispatch[0],
-        "service.dispatch_s": dispatch[1],
-        "service.self_s": dispatch[2],
-        "fleet.intake_s": intake[1],
-        "fleet.advance_s": advance[1],
-        "fleet.bookkeeping_s": advance[2],
-        "fleet.ticks": ticks,
-        "core.solve_calls": solve[0],
-        "core.solve_s": solve[1],
-        "core.exit_price_s": exit_price[1],
-        "trace.unaccounted_frac": 1.0
-        - (dispatch[2] + intake[1] + advance[1]) / period_s,
-    }
 
 
 # ------------------------------------------------------------------ check --
@@ -308,7 +138,6 @@ def cmd_check(args) -> int:
         "slot": recovered_slot,
         "events": events,
         "ledger_entries": ledger_entries,
-        "digest": digest(report),
         "errors": errors,
     }
     if tracer:
@@ -326,13 +155,6 @@ def main(argv=None) -> int:
     serve = sub.add_parser("serve")
     serve.add_argument("--trace", required=True)
     serve.add_argument("rest", nargs=argparse.REMAINDER)
-    for name in ("fleet", "fleet-setup"):
-        fleet = sub.add_parser(name)
-        fleet.add_argument("--seed", type=int, required=True)
-        fleet.add_argument("--scale", choices=sorted(workloads.SIZES), required=True)
-        fleet.add_argument("--launched", type=float, required=True)
-        fleet.add_argument("--seconds", type=float, default=0.0)
-        fleet.add_argument("--trace", default=None)
     check = sub.add_parser("check")
     check.add_argument("--wal-dir", required=True)
     check.add_argument("--expect", required=True)
@@ -342,10 +164,6 @@ def main(argv=None) -> int:
         if args.rest and args.rest[0] == "--":
             args.rest = args.rest[1:]
         return cmd_serve(args)
-    if args.command == "fleet":
-        return cmd_fleet(args)
-    if args.command == "fleet-setup":
-        return cmd_fleet_setup(args)
     return cmd_check(args)
 
 

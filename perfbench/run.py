@@ -1,4 +1,4 @@
-"""The pricing stack's benchmark: one command, three workloads.
+"""The pricing stack's benchmark: one command, two workloads.
 
     python3 perfbench/run.py --workload bids_http --seed 1 --seconds 20 --trace 0
 
@@ -8,9 +8,6 @@ Workloads (sizes and rates in ``workloads.py``, reasons in README.md):
 - ``mixed_http``: an online period over HTTP against ``repro serve
   --wal-dir --particles N``: writes, reads and ticks, then SIGKILL and
   recovery.
-- ``fleet_period``: offline pricing periods in a child process through
-  ``PricingService.dispatch``, no WAL. Not declared in BENCHMARK.json:
-  its CPU-bound numbers follow the host's speed (README.md).
 
 ``--trace 0`` measures the end-to-end metrics. ``--trace 1`` runs the
 same workload untraced and then traced, each for half of ``--seconds``
@@ -38,13 +35,12 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 STATE = ROOT / ".perfbench-run"
 
-WORKLOADS = ("bids_http", "fleet_period", "mixed_http")
+WORKLOADS = ("bids_http", "mixed_http")
 
 #: (name, unit) of every end-to-end metric, in print order.
 END_TO_END = (
     ("setup_s", "s"),
     ("write_p50_ms", "ms"),
-    ("read_p50_ms", "ms"),
     ("peak_rss_mb", "MB"),
 )
 
@@ -54,6 +50,7 @@ PER_LAYER = (
     ("throughput.capacity_rps", "req/s"),
     ("latency.write_p90_ms", "ms"),
     ("latency.write_p99_ms", "ms"),
+    ("latency.read_p50_ms", "ms"),
     ("latency.read_p90_ms", "ms"),
     ("latency.read_p99_ms", "ms"),
     ("loadgen.lag_p99_ms", "ms"),
@@ -192,18 +189,6 @@ def _latency_note(prefix: str, samples: list) -> str:
     )
 
 
-def _unbounded(passed: dict, capacity: float) -> dict:
-    """The end-to-end numbers of one untraced pass that carry no bound:
-    the latency tails and the saturated throughput."""
-    return {
-        "throughput.capacity_rps": capacity,
-        **{
-            f"latency.{kind}_p{q}_ms": _ms(_pct(passed[f"{kind}s"], q / 100))
-            for kind in ("write", "read") for q in (90, 99)
-        },
-    }
-
-
 # ------------------------------------------------------------- HTTP runs --
 
 
@@ -274,6 +259,7 @@ def _http_pass(run: Run, plan, serve_args, setups: int, traced: bool) -> dict:
     closed loops, read the counters, SIGKILL the server and check its WAL."""
     import workloads
     from loadgen import closed_loop, connections, open_clients, open_loop
+    from repro import obs
     from repro.gateway.envelopes import ConfigReply
 
     conns = connections()
@@ -292,10 +278,12 @@ def _http_pass(run: Run, plan, serve_args, setups: int, traced: bool) -> dict:
                 client.close()
             server.kill()
 
+    obs.reset()  # count this pass's client retries only
     open_start = open_loop(clients, plan.open_ops)
     closed_seconds = run.seconds * (1.0 - workloads.OPEN_SHARE)
     closed_ops, closed_elapsed = closed_loop(clients, plan.lanes, closed_seconds)
     window = (open_start, time.monotonic())
+    retries = _prom(obs.render()).get("repro_client_retries_total", 0.0)
     health = clients[0].health()
     counters = _prom(clients[0].metrics_text())
     peak_rss = server.peak_rss_mb()
@@ -340,6 +328,7 @@ def _http_pass(run: Run, plan, serve_args, setups: int, traced: bool) -> dict:
         "reads": latencies("read"),
         "lags": [op.sent - (open_start + op.due) for op in plan.open_ops],
         "capacity_rps": sum(op.ok for op in closed_ops) / closed_elapsed,
+        "retries": retries,
         "peak_rss_mb": peak_rss,
         "health": health,
         "counters": counters,
@@ -444,8 +433,6 @@ def _per_call(stats: dict, name: str, scale: float) -> float:
 def _http_layers(plain: dict, traced: dict) -> dict:
     """Per-layer metrics: exact counters from the untraced pass, times
     from the traced one."""
-    from repro import obs
-
     health, counters = plain["health"], plain["counters"]
     dispatched = max(health["dispatched"], 1)
     split = _stage_split(traced)
@@ -466,9 +453,15 @@ def _http_layers(plain: dict, traced: dict) -> dict:
              if op.ok and type(op.reply).__name__ == "QueryReply"]
     fsyncs = counters.get("repro_wal_fsync_seconds_count", 0.0)
     layers = {
-        **_unbounded(plain, plain["capacity_rps"]),
+        # End-to-end numbers of the untraced pass that carry no bound.
+        "throughput.capacity_rps": plain["capacity_rps"],
+        "latency.read_p50_ms": _ms(_pct(plain["reads"], 0.5)),
+        **{
+            f"latency.{kind}_p{q}_ms": _ms(_pct(plain[f"{kind}s"], q / 100))
+            for kind in ("write", "read") for q in (90, 99)
+        },
         "loadgen.lag_p99_ms": _ms(_pct(plain["lags"], 0.99)),
-        "client.retries": _prom(obs.render()).get("repro_client_retries_total", 0.0),
+        "client.retries": plain["retries"],
         "server.batches": health["batches"],
         "server.envelopes_per_batch": health["dispatched"] / max(health["batches"], 1),
         "server.shed": health["shed"],
@@ -503,7 +496,10 @@ def _http_layers(plain: dict, traced: dict) -> dict:
         "db.query_ms_p99": _ms(_pct(top_queries, 0.99)),
         "db.snapshot_pins": stats["db.snapshot"][0],
         "db.units_per_query": sum(units) / len(units) if units else 0.0,
-        "trace.overhead_frac": plain["capacity_rps"] / traced["capacity_rps"] - 1.0,
+        # Open-loop write p50 at the same fixed rate in both passes: it
+        # moves with the per-request cost, not with host capacity.
+        "trace.overhead_frac": _pct(traced["writes"], 0.5)
+        / _pct(plain["writes"], 0.5) - 1.0,
     }
     layers.update(split)
     return layers
@@ -523,12 +519,13 @@ def run_http(run: Run, workload: str) -> dict:
                       str(workloads.SNAPSHOTS), "--seed", str(seed)]
     plan = plan_of(seed, size, seconds, connections())
     plain = _http_pass(run, plan, serve_args, size.setups, traced=False)
-    notes = [_latency_note("write", plain["writes"]),
-             _latency_note("read", plain["reads"])]
+    notes = [
+        _latency_note(kind, plain[f"{kind}s"]) for kind in ("write", "read")
+        if any(op.cls == kind for op in plan.open_ops)
+    ]
     metrics = {
         "setup_s": statistics.median(plain["setup"]),
         "write_p50_ms": _ms(_pct(plain["writes"], 0.5)),
-        "read_p50_ms": _ms(_pct(plain["reads"], 0.5)),
         "peak_rss_mb": plain["peak_rss_mb"],
     }
     notes.append(
@@ -542,102 +539,6 @@ def run_http(run: Run, workload: str) -> dict:
     plan = plan_of(seed, size, seconds, connections())
     traced = _http_pass(run, plan, serve_args, 1, traced=True)
     return {"layers": _http_layers(plain, traced), "notes": notes}
-
-
-# ------------------------------------------------------------ fleet_period --
-
-
-def _fleet_child(run: Run, traced: bool) -> dict:
-    args = run.args
-    common = ["--seed", str(args.seed), "--scale", args.scale]
-    cmd = [str(HERE / "program.py"), "fleet", *common,
-           "--seconds", str(run.seconds), "--launched", repr(time.monotonic())]
-    if traced:
-        cmd += ["--trace", str(run.dir / "fleet-trace.jsonl")]
-    result = run.child_json(cmd)
-    run.attempted += result["attempted"]
-    run.failed += result["failed"]
-    run.errors.extend(result["errors"])
-    return result
-
-
-def _check_digest(run: Run, digest: str) -> None:
-    """Same seed, same outcome: compare with earlier runs in this checkout."""
-    path = STATE / "fleet-digests.json"
-    key = f"{run.args.scale}:{run.args.seed}"
-    known = json.loads(path.read_text()) if path.exists() else {}
-    if known.get(key, digest) != digest:
-        run.errors.append(
-            f"fleet_period outcome digest {digest[:12]} differs from an "
-            f"earlier run with seed {run.args.seed} ({known[key][:12]})"
-        )
-    known[key] = digest
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(known))
-    tmp.replace(path)
-
-
-def run_fleet(run: Run) -> dict:
-    args = run.args
-    setups = []
-    for _ in range(run.size.setups - 1):
-        setups.append(run.child_json([
-            str(HERE / "program.py"), "fleet-setup", "--seed", str(args.seed),
-            "--scale", args.scale, "--launched", repr(time.monotonic()),
-        ])["setup_s"])
-    plain = _fleet_child(run, traced=False)
-    setups.append(plain["setup_s"])
-    periods = plain["periods"]
-    _check_digest(run, periods[0]["digest"])
-    notes = [
-        f"{len(periods)} periods of {run.size.fleet_users} users, "
-        f"{run.size.fleet_games} games, {run.size.fleet_slots} slots; inputs "
-        f"generated in {plain['generate_s']:.2f} s (not in setup_s)",
-        _latency_note("write", plain["writes"]),
-        _latency_note("read", plain["reads"]),
-    ]
-    metrics = {
-        "setup_s": statistics.median(setups),
-        "write_p50_ms": _ms(_pct(plain["writes"], 0.5)),
-        "read_p50_ms": _ms(_pct(plain["reads"], 0.5)),
-        "peak_rss_mb": plain["peak_rss_mb"],
-    }
-    if not args.trace:
-        return {"metrics": metrics, "notes": notes}
-    traced = _fleet_child(run, traced=True)
-
-    def median(key):
-        return statistics.median(p[key] for p in traced["periods"])
-
-    ticks = [t for p in traced["periods"] for t in p["fleet.ticks"]]
-    idle = ("loadgen", "client", "server", "codec", "wal", "recovery", "db")
-    zero = {name: 0.0 for name, _ in PER_LAYER if name.split(".")[0] in idle}
-    layers = {
-        **zero,
-        **_unbounded(
-            plain, statistics.median(p["users_per_s"] for p in periods)
-        ),
-        "service.dispatch_calls": median("service.dispatch_calls"),
-        "service.dispatch_ms_p50": _ms(_pct(traced["writes"], 0.5)),
-        "service.busy_frac": median("service.dispatch_s") / median("period_s"),
-        "service.self_s": median("service.self_s"),
-        "fleet.intake_s": median("fleet.intake_s"),
-        "fleet.advance_s": median("fleet.advance_s"),
-        "fleet.bookkeeping_s": median("fleet.bookkeeping_s"),
-        "fleet.tick_ms_p50": _ms(_pct(ticks, 0.5)),
-        "fleet.tick_ms_max": _ms(max(ticks)),
-        "fleet.place_us_per_bid": 0.0,
-        "fleet.revise_us": 0.0,
-        "fleet.events": periods[0]["events"],
-        "fleet.ledger_entries": periods[0]["ledger_entries"],
-        "core.solve_calls": median("core.solve_calls"),
-        "core.solve_s": median("core.solve_s"),
-        "core.exit_price_s": median("core.exit_price_s"),
-        "trace.overhead_frac": median("period_s")
-        / statistics.median(p["period_s"] for p in periods) - 1.0,
-        "trace.unaccounted_frac": median("trace.unaccounted_frac"),
-    }
-    return {"layers": layers, "notes": notes}
 
 
 # ------------------------------------------------------------------ main --
@@ -667,10 +568,7 @@ def main(argv=None) -> int:
 
     run = Run(args, workloads.SIZES[args.scale])
     try:
-        if args.workload == "fleet_period":
-            measured = run_fleet(run)
-        else:
-            measured = run_http(run, args.workload)
+        measured = run_http(run, args.workload)
         metrics = _report(run, measured)
     except CheckFailed as exc:
         run.errors.append(str(exc))

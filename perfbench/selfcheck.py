@@ -5,8 +5,6 @@
 Runs every workload end to end at ``--scale tiny`` with all of its
 correctness checks, once untraced and once traced, and checks that the
 metrics each run prints are exactly the ones ``BENCHMARK.json`` names.
-That is the declared workloads plus ``fleet_period``, which run.py keeps
-for fleet work but BENCHMARK.json does not declare (see README.md).
 Then copies ``BENCHMARK.json`` and this directory, without the program,
 into a scratch directory and checks that the benchmark refuses to run
 there: a non-zero exit and no result line. Takes about a minute.
@@ -41,7 +39,7 @@ def main() -> int:
         1: {m["name"]: m["unit"] for m in spec["per_layer"]},
     }
     failures = []
-    for workload in [w["name"] for w in spec["workloads"]] + ["fleet_period"]:
+    for workload in [w["name"] for w in spec["workloads"]]:
         for trace in (0, 1):
             proc = _run(ROOT, workload, trace)
             label = f"{workload} --trace {trace}"

@@ -3,7 +3,7 @@
 The benchmark's launcher (``program.py``) installs these wrappers in the
 program's own process before the server or the workload starts; nothing
 under ``src/`` knows about them. Each wrapped call becomes a frame on one
-stack (the server dispatches on its event-loop thread and the fleet child
+stack (the server dispatches on its event-loop thread and the checker
 is single-threaded), so a span's self time is its duration minus the time
 its wrapped children took.
 
@@ -23,8 +23,8 @@ import os
 import time
 
 #: Dispatch batches longer than this are not tenant-tagged: the server's
-#: group commit never builds one, and a whole-period intake would make
-#: the span row as large as the input.
+#: group commit never builds one, and a large bulk intake would make the
+#: span row as large as the input.
 _MAX_TAGGED = 1024
 
 

@@ -1,4 +1,4 @@
-"""Seeded inputs for the three workloads, and their fixed sizes and rates.
+"""Seeded inputs for the two workloads, and their fixed sizes and rates.
 
 Everything here is a pure function of ``(seed, scale)``: the same seed
 gives the same envelopes, schedules and connections. The program only
@@ -27,23 +27,17 @@ from repro.gateway.envelopes import (
     SlotReply,
     SubmitBids,
 )
-from repro.workloads.fleet import fleet_batches
 
 
 @dataclass(frozen=True)
 class Size:
     setups: int  # set-ups per run; setup_s is their median
     bids_games: int
-    bids_rate: float  # open-loop requests/s, half SubmitBids, half LedgerQuery
+    bids_rate: float  # open-loop SubmitBids/s
     mixed_games: int
     mixed_rate: float  # open-loop requests/s besides the ticks
     particles: int  # universe behind the RunQuery tables
     lane: int  # requests generated per closed-loop connection
-    fleet_users: int
-    fleet_games: int
-    fleet_slots: int
-    fleet_reads: int  # LedgerQuery reads per finished period
-    min_periods: int
 
 
 SIZES = {
@@ -51,29 +45,27 @@ SIZES = {
         setups=5,
         bids_games=200, bids_rate=150.0,
         mixed_games=50, mixed_rate=150.0, particles=2000, lane=4000,
-        fleet_users=200_000, fleet_games=200, fleet_slots=2000,
-        fleet_reads=100, min_periods=3,
     ),
     "tiny": Size(
         setups=2,
         bids_games=20, bids_rate=100.0,
         mixed_games=10, mixed_rate=100.0, particles=300, lane=2000,
-        fleet_users=5000, fleet_games=20, fleet_slots=50,
-        fleet_reads=50, min_periods=2,
     ),
 }
 
 OPEN_SHARE = 0.8  # share of --seconds in the open loop; the rest is closed
+WARMUP = 20  # set-up requests per connection
 TICK_INTERVAL = 0.1  # seconds between mixed_http's AdvanceSlots(1) ticks
 LEAD = 20  # slots a new mixed_http bid starts ahead of the ticks sent so far
+REVISE_AGE = (0.2, 1.0)  # a revision raises a bid submitted this long ago (s)
 SNAPSHOTS = 2  # universe snapshots, i.e. RunQuery tables
 BIDS_HORIZON = 8  # bids_http's period: every bid fits, no slot is ever run
 GRID_MEAN_COST = 2.0  # mean game cost of bids_http and mixed_http
-FLEET_CHEAP_COST = 0.5
-FLEET_DEAR_COST = 60.0
-FLEET_SHARDS = 8
 MAX_DURATION = 4
 HALOS = 8  # RunQuery members asks for halo ids 0..HALOS-1
+
+#: mixed_http's request kinds, in equal shares (README.md says why).
+MIXED_KINDS = ("submit", "revise", "ledger", "query")
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -144,9 +136,8 @@ class HttpPlan:
 
 
 def bids_plan(seed: int, size: Size, seconds: float, conns: int) -> HttpPlan:
-    """Distinct tenants each send one non-revisable SubmitBids, half the
-    open-loop requests are LedgerQuery reads of a tenant already served
-    on the same connection, and the closed loop sends SubmitBids only."""
+    """Distinct tenants each send one non-revisable SubmitBids: in the
+    warm-up, on the open loop and back to back on the closed loop."""
     rng = _rng(seed, 1)
     horizon = BIDS_HORIZON
     games = size.bids_games
@@ -162,33 +153,14 @@ def bids_plan(seed: int, size: Size, seconds: float, conns: int) -> HttpPlan:
         return Op(due, SubmitBids(tenant=tenant, bids=(bid,)), "write", conn,
                   _bids_ok)
 
-    def ledger(tenant, conn, due=0.0):
-        return Op(due, LedgerQuery(tenant=tenant), "read", conn,
-                  _ledger_ok(tenant))
-
-    served = [[] for _ in range(conns)]
-    warmup = []
-    for conn in range(conns):
-        for k in range(10):
-            tenant = f"w{conn}-{k}"
-            warmup.append(submit(tenant, conn))
-            warmup.append(ledger(tenant, conn))
-            served[conn].append(tenant)
-
+    warmup = [
+        submit(f"w{conn}-{k}", conn)
+        for conn in range(conns) for k in range(WARMUP)
+    ]
     n = int(round(size.bids_rate * seconds * OPEN_SHARE))
-    kinds = rng.permutation(np.arange(n) % 2)  # exactly half writes
-    open_ops = []
-    for i in range(n):
-        conn = i % conns
-        due = i / size.bids_rate
-        if kinds[i] == 0:
-            tenant = f"b{i}"
-            open_ops.append(submit(tenant, conn, due))
-            served[conn].append(tenant)
-        else:
-            pool = served[conn]
-            open_ops.append(ledger(pool[int(rng.integers(len(pool)))], conn, due))
-
+    open_ops = [
+        submit(f"b{i}", i % conns, i / size.bids_rate) for i in range(n)
+    ]
     lanes = [
         [submit(f"c{conn}-{k}", conn) for k in range(size.lane)]
         for conn in range(conns)
@@ -266,21 +238,21 @@ class _MixedGen:
         )
         return Op(due, request, "read", self.conn, _query_ok)
 
-    def write(self, due, slot, window):
-        if self.rng.random() < 0.4:
+    def op(self, kind, due, slot, window):
+        """One request of ``kind`` (see ``MIXED_KINDS``); a revision with
+        no bid to raise yet becomes a submission."""
+        if kind == "revise":
             op = self.revise(due, window)
-            if op is not None:
-                return op
-        return self.submit(due, slot)
-
-    def read(self, due):
-        return self.ledger(due) if self.rng.random() < 0.6 else self.query(due)
+            return op if op is not None else self.submit(due, slot)
+        if kind == "submit":
+            return self.submit(due, slot)
+        return self.ledger(due) if kind == "ledger" else self.query(due)
 
 
 def mixed_plan(seed: int, size: Size, seconds: float, conns: int) -> HttpPlan:
-    """Revisable SubmitBids and ReviseBid writes beside LedgerQuery and
-    RunQuery reads, half and half, plus AdvanceSlots(1) ticks on a fixed
-    cadence on connection 0; the closed loop sends the same mix unticked."""
+    """Revisable SubmitBids, ReviseBid, LedgerQuery and RunQuery in equal
+    shares, plus AdvanceSlots(1) ticks on a fixed cadence on connection
+    0; the closed loop sends the same mix unticked."""
     rng = _rng(seed, 2)
     open_seconds = seconds * OPEN_SHARE
     ticks = int(open_seconds / TICK_INTERVAL)
@@ -313,75 +285,24 @@ def mixed_plan(seed: int, size: Size, seconds: float, conns: int) -> HttpPlan:
         gen.open_bids.clear()  # open-loop revisions only touch open-loop bids
 
     n = int(round(size.mixed_rate * open_seconds))
-    kinds = rng.permutation(np.arange(n) % 2)
+    kinds = rng.permutation(np.arange(n) % len(MIXED_KINDS))
     open_ops = [
         Op(k * TICK_INTERVAL, AdvanceSlots(slots=1), "tick", 0, _tick_ok(k))
         for k in range(1, ticks + 1)
     ]
     for i in range(n):
         due = i / size.mixed_rate
-        gen = gens[i % conns]
-        if kinds[i] == 0:
-            slot = int(due / TICK_INTERVAL)  # ticks due by now
-            open_ops.append(gen.write(due, slot, (0.2, 1.0)))
-        else:
-            open_ops.append(gen.read(due))
+        slot = int(due / TICK_INTERVAL)  # ticks due by now
+        open_ops.append(
+            gens[i % conns].op(MIXED_KINDS[kinds[i]], due, slot, REVISE_AGE)
+        )
 
     lanes = []
     for gen in gens:
         gen.open_bids.clear()
-        lane = []
-        for _ in range(size.lane):
-            if rng.random() < 0.5:
-                lane.append(gen.write(0.0, ticks, None))
-            else:
-                lane.append(gen.read(0.0))
+        lane = [
+            gen.op(MIXED_KINDS[int(k)], 0.0, ticks, None)
+            for k in rng.integers(len(MIXED_KINDS), size=size.lane)
+        ]
         lanes.append(lane)
     return HttpPlan(configure, warmup, open_ops, lanes, ticks=ticks)
-
-
-# ----------------------------------------------------------- fleet_period --
-
-
-def fleet_configure(size: Size) -> Configure:
-    """The Configure envelope of :func:`fleet_inputs`.
-
-    Two price tiers: every tenth game is cheap enough that its bidders
-    always fund it, the rest too dear to be funded at all. No game sits
-    near the funding threshold, so the same games are implemented for
-    every seed and the period's work (invoices, ledger size) is steady.
-    """
-    costs = {
-        f"game-{j}": FLEET_CHEAP_COST if j % 10 == 0 else FLEET_DEAR_COST
-        for j in range(size.fleet_games)
-    }
-    return Configure(
-        optimizations=tuple(costs.items()),
-        horizon=size.fleet_slots,
-        shards=FLEET_SHARDS,
-    )
-
-
-def fleet_inputs(seed: int, size: Size):
-    """``(Configure, SubmitBids per user, {user: declared value}, readers)``
-    for one offline period drawn by the ``repro.workloads.fleet``
-    generators; ``readers`` are the users whose ledgers are read."""
-    rng = _rng(seed, 3)
-    games = size.fleet_games
-    slots = size.fleet_slots
-    configure = fleet_configure(size)
-    requests = []
-    declared = {}
-    for batch in fleet_batches(rng, size.fleet_users, games, slots, MAX_DURATION):
-        for user, rank, start, values in zip(
-            batch.users,
-            batch.opt_ranks.tolist(),
-            batch.starts.tolist(),
-            batch.values.tolist(),
-        ):
-            requests.append(
-                SubmitBids(tenant=user, bids=((f"game-{rank}", start, values),))
-            )
-            declared[user] = sum(values)
-    readers = rng.choice(size.fleet_users, size=size.fleet_reads, replace=False)
-    return configure, requests, declared, [int(u) for u in readers]

@@ -62,10 +62,7 @@ def _serve_once() -> float:
         thread = ServerThread(
             service,
             ServerConfig(
-                port=0,
-                max_pending=4 * THREADS,
-                tenant_pending=THREADS,
-                max_delay=0.002,
+                port=0, max_pending=4 * THREADS, tenant_pending=THREADS
             ),
         )
         host, port = thread.start()

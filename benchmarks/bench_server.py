@@ -7,7 +7,8 @@ fsync. This benchmark drives a durable in-process server over real
 HTTP/1.1 loopback sockets with a pool of blocking clients and reports:
 
 * sustained **requests/second** and **p50/p99 latency** at the headline
-  scale (50,000 distinct tenants submitting bids);
+  scale (50,000 distinct tenants submitting bids), the percentiles by
+  nearest rank over every raw client-observed sample;
 * **fsyncs per request** — the group-commit dividend. The recorded
   headline is its inverse, requests-per-fsync (bigger is better), with
   a hard floor of 1.0: if batching ever degrades to an fsync per
@@ -24,6 +25,7 @@ Run as a script for the full table:
 from __future__ import annotations
 
 import asyncio
+import math
 import tempfile
 import threading
 import time
@@ -32,7 +34,6 @@ import harness
 from repro.gateway import Configure, ErrorReply, PricingService, SubmitBids
 from repro.gateway.client import GatewayClient
 from repro.gateway.server import ServerConfig, ServerThread
-from repro.obs import MetricsRegistry
 
 #: (users, client threads) — the headline scale and the CI smoke scale.
 USERS, THREADS = harness.scale((50_000, 16), (400, 4))
@@ -41,26 +42,10 @@ SEED = 2012
 OPTS = tuple((f"opt{i}", 50.0) for i in range(8))
 
 
-def _sorted_list_percentile(samples: list, q: float) -> float:
-    """The pre-obs percentile math this bench used: nearest rank over the
-    merged sorted sample list."""
-    merged = sorted(samples)
-    return merged[min(len(merged) - 1, int(len(merged) * q))]
-
-
-def _check_percentile_identity() -> None:
-    """obs.Histogram must reproduce the old sorted-list percentiles
-    exactly when the samples sit on bucket bounds — the property that
-    makes swapping the bench's math for the shared histogram safe."""
-    registry = MetricsRegistry()
-    histogram = registry.histogram("bench_check_seconds", "identity probe")
-    buckets = histogram.buckets
-    fixed = [buckets[3]] * 55 + [buckets[9]] * 40 + [buckets[17]] * 5
-    for value in fixed:
-        histogram.observe(value)
-    for q in (0.5, 0.9, 0.99):
-        old = _sorted_list_percentile(fixed, q)
-        assert histogram.percentile(q) == old, (q, histogram.percentile(q), old)
+def _nearest_rank(samples: list, q: float) -> float:
+    """The ``q`` quantile of raw samples by nearest rank (``q`` in (0, 1])."""
+    ordered = sorted(samples)
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
 
 
 def _run_throughput():
@@ -72,27 +57,20 @@ def _run_throughput():
         thread = ServerThread(
             service,
             ServerConfig(
-                port=0,
-                max_pending=4 * THREADS,
-                tenant_pending=THREADS,
-                max_delay=0.002,
+                port=0, max_pending=4 * THREADS, tenant_pending=THREADS
             ),
         )
         host, port = thread.start()
         setup = GatewayClient(host, port)
         setup.request(Configure(optimizations=OPTS, horizon=4))
-        # One shared histogram instead of per-thread lists + a sorted
-        # merge: child mutation is lock-protected, and the percentile
-        # identity with the old math is asserted by
-        # _check_percentile_identity before the numbers are trusted.
-        registry = MetricsRegistry()
-        latency = registry.histogram(
-            "bench_server_latency_seconds", "client-observed request latency"
-        )
+        # Raw samples, one list per thread (no lock on the hot path),
+        # merged for exact percentiles: histogram buckets would round.
+        latencies: list[list] = [[] for _ in range(THREADS)]
         failures: list = []
 
         def worker(index: int) -> None:
             client = GatewayClient(host, port)
+            samples = latencies[index]
             try:
                 for user in range(index, USERS, THREADS):
                     request = SubmitBids(
@@ -101,7 +79,7 @@ def _run_throughput():
                     )
                     begin = time.perf_counter()
                     reply = client.request(request)
-                    latency.observe(time.perf_counter() - begin)
+                    samples.append(time.perf_counter() - begin)
                     if isinstance(reply, ErrorReply):
                         failures.append(reply)
             finally:
@@ -123,9 +101,10 @@ def _run_throughput():
 
     assert not failures, f"bids rejected during the bench: {failures[:3]}"
     assert health["dispatched"] == USERS + 1  # every submit + the config
-    assert latency.count == USERS
-    p50 = latency.percentile(0.5)
-    p99 = latency.percentile(0.99)
+    merged = [sample for samples in latencies for sample in samples]
+    assert len(merged) == USERS
+    p50 = _nearest_rank(merged, 0.5)
+    p99 = _nearest_rank(merged, 0.99)
     fsync_ratio = health["fsyncs"] / health["dispatched"]
     return USERS / elapsed, p50, p99, fsync_ratio
 
@@ -140,7 +119,7 @@ def _run_shedding():
     service = PricingService()
     thread = ServerThread(
         service,
-        ServerConfig(port=0, max_pending=THREADS, max_delay=0.001),
+        ServerConfig(port=0, max_pending=THREADS),
         stall_hook=stall,
     )
     host, port = thread.start()
@@ -180,7 +159,6 @@ def _run_shedding():
 
 def test_server_throughput_and_group_commit(emit):
     """Acceptance bar: fsyncs/request < 1 on the durable serving path."""
-    _check_percentile_identity()
     req_per_s, p50, p99, fsync_ratio = _run_throughput()
     served, shed, untyped = _run_shedding()
     total = served + shed

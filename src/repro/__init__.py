@@ -28,39 +28,9 @@ Quickstart
 runnable snippet per entry.
 """
 
-from repro import obs
-from repro.bids import AdditiveBid, RevisableBid, SlotValues, SubstitutableBid
-from repro.core import (
-    AddOffOutcome,
-    AddOnOutcome,
-    ShapleyResult,
-    SubstOffOutcome,
-    SubstOnOutcome,
-    accounting,
-    run_addoff,
-    run_addon,
-    run_shapley,
-    run_substoff,
-    run_subston,
-)
-from repro.advisor import OptimizationAdvisor
-from repro.db import Catalog, QueryEngine, SavingsEstimator
-from repro.errors import (
-    BidError,
-    GameConfigError,
-    MechanismError,
-    ProtocolError,
-    QueryError,
-    ReproError,
-    RevisionError,
-    SchemaError,
-)
-from repro.fleet import FleetBatch, FleetEngine, FleetExecutor, FleetReport
-from repro.gateway import API_VERSION, PricingService, TenantSession
+import importlib
 
-# Imported after repro.gateway: repro.fleet.mp uses the gateway's wire
-# codec, so it must not load while repro.gateway is mid-initialization.
-from repro.fleet.mp import MultiProcessFleet
+from repro import obs
 
 __version__ = "1.6.0"
 
@@ -111,3 +81,47 @@ __all__ = [
     "QueryError",
     "ProtocolError",
 ]
+
+#: Public name -> the module that defines it. Resolved on first access
+#: (PEP 562), so ``import repro.gateway.server`` loads the serving path
+#: and not the figures, the astronomy substrate or the worker pool.
+_LAZY = {
+    **dict.fromkeys(
+        ("SlotValues", "AdditiveBid", "SubstitutableBid", "RevisableBid"),
+        "repro.bids",
+    ),
+    **dict.fromkeys(
+        (
+            "run_shapley", "run_addoff", "run_addon", "run_substoff",
+            "run_subston", "ShapleyResult", "AddOffOutcome", "AddOnOutcome",
+            "SubstOffOutcome", "SubstOnOutcome", "accounting",
+        ),
+        "repro.core",
+    ),
+    **dict.fromkeys(
+        ("FleetBatch", "FleetEngine", "FleetExecutor", "FleetReport"),
+        "repro.fleet",
+    ),
+    "MultiProcessFleet": "repro.fleet.mp",
+    **dict.fromkeys(
+        ("API_VERSION", "PricingService", "TenantSession"), "repro.gateway"
+    ),
+    **dict.fromkeys(("Catalog", "QueryEngine", "SavingsEstimator"), "repro.db"),
+    "OptimizationAdvisor": "repro.advisor",
+    **dict.fromkeys(
+        (
+            "ReproError", "BidError", "RevisionError", "MechanismError",
+            "GameConfigError", "SchemaError", "QueryError", "ProtocolError",
+        ),
+        "repro.errors",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

@@ -29,34 +29,12 @@ import sys
 import time
 from pathlib import Path
 
-from repro.experiments import (
-    AdvisorLoopConfig,
-    Fig1Config,
-    Fig2AdditiveConfig,
-    Fig2SubstitutiveConfig,
-    Fig3aConfig,
-    Fig3bConfig,
-    Fig4Config,
-    Fig5Config,
-    format_result,
-    format_summary,
-    measure_fleet_mp_point,
-    measure_fleet_point,
-    measure_gateway_point,
-    run_advisor_loop,
-    run_fig1_astronomy,
-    run_fig2_additive,
-    run_fig2_substitutive,
-    run_fig3a_slot_count,
-    run_fig3b_duration,
-    run_fig4_skew,
-    run_fig5_selectivity,
-)
-
 __all__ = ["main", "FIGURES"]
 
 
 def _fig1(args) -> object:
+    from repro.experiments import Fig1Config, run_fig1_astronomy
+
     return run_fig1_astronomy(
         Fig1Config(
             values=args.values,
@@ -69,48 +47,66 @@ def _fig1(args) -> object:
 
 
 def _fig2a(args):
+    from repro.experiments import Fig2AdditiveConfig, run_fig2_additive
+
     return run_fig2_additive(
         Fig2AdditiveConfig.small(trials=args.trials, seed=args.seed)
     )
 
 
 def _fig2b(args):
+    from repro.experiments import Fig2AdditiveConfig, run_fig2_additive
+
     return run_fig2_additive(
         Fig2AdditiveConfig.large(trials=args.trials, seed=args.seed)
     )
 
 
 def _fig2c(args):
+    from repro.experiments import Fig2SubstitutiveConfig, run_fig2_substitutive
+
     return run_fig2_substitutive(
         Fig2SubstitutiveConfig.small(trials=args.trials, seed=args.seed)
     )
 
 
 def _fig2d(args):
+    from repro.experiments import Fig2SubstitutiveConfig, run_fig2_substitutive
+
     return run_fig2_substitutive(
         Fig2SubstitutiveConfig.large(trials=max(args.trials // 2, 1), seed=args.seed)
     )
 
 
 def _fig3a(args):
+    from repro.experiments import Fig3aConfig, run_fig3a_slot_count
+
     return run_fig3a_slot_count(Fig3aConfig(trials=args.trials, seed=args.seed))
 
 
 def _fig3b(args):
+    from repro.experiments import Fig3bConfig, run_fig3b_duration
+
     return run_fig3b_duration(Fig3bConfig(trials=args.trials, seed=args.seed))
 
 
 def _fig4(args):
+    from repro.experiments import Fig4Config, run_fig4_skew
+
     return run_fig4_skew(Fig4Config(trials=args.trials, seed=args.seed))
 
 
 def _fig5a(args):
+    from repro.experiments import Fig5Config, run_fig5_selectivity
+
     return run_fig5_selectivity(
         Fig5Config.low_selectivity(trials=args.trials, seed=args.seed)
     )
 
 
 def _fig5b(args):
+    from repro.experiments import Fig5Config, run_fig5_selectivity
+
     return run_fig5_selectivity(
         Fig5Config.high_selectivity(trials=args.trials, seed=args.seed)
     )
@@ -315,10 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-tenant fair-share admission bound",
     )
     serve.add_argument(
-        "--max-delay", type=float, default=0.002, dest="max_delay",
-        help="seconds an envelope may wait to join a group commit",
-    )
-    serve.add_argument(
         "--read-timeout", type=float, default=5.0, dest="read_timeout",
         help="seconds to receive a full request (slow-loris guard)",
     )
@@ -375,6 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_fleet(args) -> int:
+    from repro.experiments import (
+        measure_fleet_mp_point,
+        measure_fleet_point,
+        measure_gateway_point,
+    )
+
     if args.workers > 1:
         print(
             f"== fleet-mp: {args.games} games, {args.users} users, "
@@ -436,6 +434,8 @@ def _run_fleet(args) -> int:
 
 
 def _run_advise(args) -> int:
+    from repro.experiments import AdvisorLoopConfig, run_advisor_loop
+
     loop = run_advisor_loop(
         AdvisorLoopConfig(
             particles=args.particles,
@@ -564,7 +564,6 @@ def _run_serve(args) -> int:
         port=args.port,
         max_pending=args.max_pending,
         tenant_pending=args.tenant_pending,
-        max_delay=args.max_delay,
         read_timeout=args.read_timeout,
     )
 
@@ -657,6 +656,8 @@ def _run_stats(args) -> int:
 
 
 def _emit(result, args) -> None:
+    from repro.experiments import format_result, format_summary
+
     text = format_summary(result) if args.summary else format_result(result, max_rows=args.rows)
     print(text)
     if args.out is not None:

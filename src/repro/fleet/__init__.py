@@ -42,10 +42,9 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # MultiProcessFleet resolves lazily: repro.fleet.mp pulls in the
-    # gateway codec, whose package imports the service, which imports
-    # this package — eager import here would close that cycle on a
-    # partially initialized module.
+    # MultiProcessFleet resolves lazily: repro.fleet.mp pulls in
+    # multiprocessing and the gateway codec, which a process that only
+    # runs the in-process engine (such as `repro serve`) never needs.
     if name == "MultiProcessFleet":
         from repro.fleet.mp import MultiProcessFleet
 

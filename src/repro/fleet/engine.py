@@ -59,6 +59,7 @@ intake.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -262,12 +263,14 @@ class FleetEngine(FleetExecutor):
         self._handles: dict[tuple, RevisableBid] = {}
         self._pending: dict[int, dict[int, dict]] = {}
         self._ends_at: dict[int, list] = {}
-        # Bulk (columnar) path: raw batches until the first slot finalizes
-        # them into the flat schedule, its group index, and departures.
-        # Users are interned to dense ints so every schedule array is a
-        # fast int/float array; ``_users`` maps them back at event time.
+        # Bulk (columnar) path: until the first slot finalizes them into
+        # the flat schedule, its group index, and departures, ingested bids
+        # sit in one set of growable columns per bid duration: duration ->
+        # (user index, rank, start, row-major values). Every bid row gets
+        # the next dense user index, so indices ascend in intake order;
+        # ``_users`` maps them back to ids at event time.
         self._users: list = []
-        self._batches: list = []
+        self._columns: dict[int, tuple] = {}
         self._bulk_taken: set | None = None  # lazy (user, rank) intake guard
         self._entries: tuple | None = None  # (user, val) in (slot, shard) order
         self._groups: tuple | None = None  # flush/hot groups only, as lists
@@ -340,9 +343,9 @@ class FleetEngine(FleetExecutor):
         if self._bulk_taken is None:
             taken = set()
             names = self._users
-            for base, ranks, _, values in self._batches:
-                for offset, rank in enumerate(ranks.tolist()):
-                    taken.add((names[base + offset], rank))
+            for uidx, ranks, _, _ in self._columns.values():
+                for index, rank in zip(uidx, ranks):
+                    taken.add((names[index], rank))
             if self._deps is not None:
                 _, dep_ranks, dep_users = self._deps
                 for uidx, rank in zip(dep_users, dep_ranks):
@@ -528,12 +531,22 @@ class FleetEngine(FleetExecutor):
             if len(batch) > 0
         ]
         total = 0
+        columns = self._columns
         for batch, (ranks, starts) in checked:
             base = len(self._users)
             self._users.extend(batch.users)
-            self._batches.append((base, ranks, starts, batch.values))
+            n, duration = batch.values.shape
+            group = columns.get(duration)
+            if group is None:
+                group = columns[duration] = (
+                    array("q"), array("q"), array("q"), array("d")
+                )
+            group[0].extend(range(base, base + n))
+            group[1].frombytes(ranks.tobytes())
+            group[2].frombytes(starts.tobytes())
+            group[3].frombytes(batch.values.tobytes())
             self.events.record_many([BidPlaced(1, user) for user in batch.users])
-            total += len(batch)
+            total += n
         if checked:
             self._bulk_taken = None  # new bulk bids: rebuild guard on demand
         self.epoch += total
@@ -571,8 +584,10 @@ class FleetEngine(FleetExecutor):
         return ranks, starts
 
     def _finalize(self) -> None:
-        """Flatten the ingested batches into the array-backed schedule.
+        """Flatten the intake columns into the array-backed schedule.
 
+        Entries are first put back in intake order (ascending user index)
+        so every tie below breaks exactly as in the order bids arrived.
         Produces, entirely in numpy:
 
         * per-entry ``(slot, rank, user, residual)`` lexsorted by
@@ -591,13 +606,16 @@ class FleetEngine(FleetExecutor):
           materialization, and the departure schedule.
         """
         self._finalized = True
-        if not self._batches:
+        if not self._columns:
             return
         slot_chunks, rank_chunks, val_chunks, user_chunks = [], [], [], []
         dtot_chunks, dpos_chunks = [], []
-        dep_slot_chunks, dep_rank_chunks, dep_user_chunks = [], [], []
-        for base, batch_ranks, batch_starts, values in self._batches:
-            n, d = values.shape
+        for d, (uidx, batch_ranks, batch_starts, values) in self._columns.items():
+            uidx = np.frombuffer(uidx, dtype=np.int64)
+            batch_ranks = np.frombuffer(batch_ranks, dtype=np.int64)
+            batch_starts = np.frombuffer(batch_starts, dtype=np.int64)
+            values = np.frombuffer(values).reshape(-1, d)
+            n = len(uidx)
             # Left-to-right suffix sums, vectorized across bids: column
             # order matches ``AdditiveBid.residual`` add-for-add, so the
             # scheduled floats are bit-identical to the per-bid path.
@@ -618,22 +636,32 @@ class FleetEngine(FleetExecutor):
             dnpos[:, 1:] -= positive[:, :-1]
             slots = batch_starts[:, None] + np.arange(d + 1)[None, :]
             keep = (slots <= self.horizon).ravel()
-            uidx = np.arange(base, base + n, dtype=np.int64)
             slot_chunks.append(slots.ravel()[keep])
             rank_chunks.append(np.repeat(batch_ranks, d + 1)[keep])
             val_chunks.append(residuals.ravel()[keep])
             user_chunks.append(np.repeat(uidx, d + 1)[keep])
             dtot_chunks.append(dtotal.ravel()[keep])
             dpos_chunks.append(dnpos.ravel()[keep])
-            dep_slot_chunks.append(batch_starts + (d - 1))
-            dep_rank_chunks.append(batch_ranks)
-            dep_user_chunks.append(uidx)
-        slots = np.concatenate(slot_chunks)
-        ranks = np.concatenate(rank_chunks)
-        vals = np.concatenate(val_chunks)
-        users = np.concatenate(user_chunks)
-        dtotal = np.concatenate(dtot_chunks)
-        dnpos = np.concatenate(dpos_chunks)
+        columns = [
+            np.concatenate(chunks)
+            for chunks in (
+                slot_chunks,
+                rank_chunks,
+                val_chunks,
+                user_chunks,
+                dtot_chunks,
+                dpos_chunks,
+            )
+        ]
+        runs = [group[0] for group in self._columns.values()]
+        if any(a[-1] > b[0] for a, b in zip(runs, runs[1:])):
+            # Durations arrived interleaved: back to intake order. User
+            # indices already ascend within each duration's columns, so
+            # this stable sort only merges sorted runs (and keeps each
+            # bid's entries in slot order).
+            intake = np.argsort(columns[3], kind="stable")
+            columns = [column[intake] for column in columns]
+        slots, ranks, vals, users, dtotal, dnpos = columns
         proc = np.asarray(self._proc_rank, dtype=np.int64)
         n_games = len(self._opt_ids)
 
@@ -683,14 +711,32 @@ class FleetEngine(FleetExecutor):
                         0,
                         hi - lo,
                     ]
-        dep_slots = np.concatenate(dep_slot_chunks)
-        dep_order = np.argsort(dep_slots, kind="stable")
-        self._deps = (
-            dep_slots[dep_order].tolist(),
-            np.concatenate(dep_rank_chunks)[dep_order].tolist(),
-            np.concatenate(dep_user_chunks)[dep_order].tolist(),
+        self._deps = self._departure_schedule()
+        self._columns = {}
+
+    def _departure_schedule(self) -> tuple:
+        """The bulk bids' departures as ``(slots, ranks, user indices)``
+        lists: slot order, intake order within a slot.
+
+        Reads the intake columns without consuming them, so the
+        multi-process master can take its global departure order from a
+        mirror engine that never finalizes.
+        """
+        slot_chunks, rank_chunks, user_chunks = [], [], []
+        for d, (uidx, ranks, starts, _) in self._columns.items():
+            slot_chunks.append(np.frombuffer(starts, dtype=np.int64) + (d - 1))
+            rank_chunks.append(np.frombuffer(ranks, dtype=np.int64))
+            user_chunks.append(np.frombuffer(uidx, dtype=np.int64))
+        if not slot_chunks:
+            return (), (), ()
+        slots = np.concatenate(slot_chunks)
+        users = np.concatenate(user_chunks)
+        order = np.lexsort((users, slots))
+        return (
+            slots[order].tolist(),
+            np.concatenate(rank_chunks)[order].tolist(),
+            users[order].tolist(),
         )
-        self._batches = []
 
     def _flush_slots(self, g_slot, g_rank, g_dtot, g_dpos):
         """First slot per game at which its bids might cover its cost.

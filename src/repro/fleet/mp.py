@@ -495,7 +495,10 @@ class MultiProcessFleet(FleetExecutor):
         if slots < 1:
             raise GameConfigError(f"must advance by >= 1 slot, got {slots}")
         if self._deps is None:
-            self._finalize_departures()
+            # The engine's own departure schedule, read from the mirror
+            # before the first advance; the mirror never finalizes, so its
+            # intake columns stay available for ``bulk_keys``.
+            self._deps = self._intake._departure_schedule()
         target = self.slot + int(slots)
         stop = min(target, self.horizon)
         while self.slot < stop:
@@ -570,35 +573,6 @@ class MultiProcessFleet(FleetExecutor):
                     f"fleet worker {worker} keeps dying mid-advance"
                 ) from last
         return results
-
-    def _finalize_departures(self) -> None:
-        """The master's global departure schedule, from the intake mirror.
-
-        Computed exactly like ``FleetEngine._finalize`` computes its
-        departure arrays (per-batch ``start + duration - 1``, stable
-        argsort by slot), but *before* the first advance and without
-        consuming the mirror's batches — the mirror never advances, so
-        its raw batches (and handle index) stay available for
-        ``bulk_keys`` and late validation.
-        """
-        slot_chunks, rank_chunks, user_chunks = [], [], []
-        for base, ranks, starts, values in self._intake._batches:
-            duration = values.shape[1]
-            slot_chunks.append(starts + (duration - 1))
-            rank_chunks.append(ranks)
-            user_chunks.append(
-                np.arange(base, base + len(ranks), dtype=np.int64)
-            )
-        if slot_chunks:
-            slots = np.concatenate(slot_chunks)
-            order = np.argsort(slots, kind="stable")
-            self._deps = (
-                slots[order].tolist(),
-                np.concatenate(rank_chunks)[order].tolist(),
-                np.concatenate(user_chunks)[order].tolist(),
-            )
-        else:
-            self._deps = ((), (), ())
 
     def _merge_slot(self, t: int, worker_deltas: list) -> None:
         """Replay one slot's worker deltas in global single-process order.

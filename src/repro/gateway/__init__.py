@@ -35,48 +35,12 @@ worlds: envelopes (``"kind"``-tagged) and value objects
 
 from __future__ import annotations
 
+import importlib
 from typing import Mapping
 
 from repro.errors import ProtocolError
 from repro.gateway import codec as _codec
 from repro.gateway import envelopes as _envelopes
-from repro.gateway.envelopes import (
-    API_VERSION,
-    AdvanceSlots,
-    AdviseReply,
-    AdviseRequest,
-    BidsReply,
-    ConfigReply,
-    Configure,
-    ERROR_CODES,
-    ErrorReply,
-    LedgerQuery,
-    LedgerReply,
-    MetricsReply,
-    MetricsRequest,
-    QueryReply,
-    Reply,
-    Request,
-    ReviseBid,
-    ReviseReply,
-    RunQuery,
-    SlotReply,
-    SubmitBids,
-    error_code,
-    request_from_dict,
-    reply_from_dict,
-)
-from repro.gateway.client import GatewayClient, GatewayUnavailable
-from repro.gateway.envelopes import RETRYABLE_CODES
-from repro.gateway.server import GatewayServer, ServerConfig, ServerThread
-from repro.gateway.service import BulkAcks, PricingService, TenantSession
-from repro.gateway.trace import (
-    ReplayResult,
-    iter_trace,
-    replay,
-    replay_path,
-    write_trace,
-)
 
 __all__ = [
     "API_VERSION",
@@ -126,9 +90,52 @@ __all__ = [
 ]
 
 
+#: Public name -> the submodule that defines it. Resolved on first
+#: access (PEP 562): the server imports this package on its way to
+#: ``repro.gateway.server`` and must not pay for the client or traces.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "API_VERSION", "Request", "Reply", "Configure", "SubmitBids",
+            "ReviseBid", "AdvanceSlots", "RunQuery", "AdviseRequest",
+            "LedgerQuery", "MetricsRequest", "ConfigReply", "BidsReply",
+            "ReviseReply", "SlotReply", "QueryReply", "AdviseReply",
+            "LedgerReply", "MetricsReply", "ErrorReply", "ERROR_CODES",
+            "RETRYABLE_CODES", "error_code", "request_from_dict",
+            "reply_from_dict",
+        ),
+        "repro.gateway.envelopes",
+    ),
+    **dict.fromkeys(
+        ("PricingService", "TenantSession", "BulkAcks"),
+        "repro.gateway.service",
+    ),
+    **dict.fromkeys(
+        ("ReplayResult", "write_trace", "iter_trace", "replay", "replay_path"),
+        "repro.gateway.trace",
+    ),
+    **dict.fromkeys(
+        ("GatewayServer", "ServerConfig", "ServerThread"),
+        "repro.gateway.server",
+    ),
+    **dict.fromkeys(
+        ("GatewayClient", "GatewayUnavailable"), "repro.gateway.client"
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
 def to_dict(obj) -> dict:
     """Serialize an envelope or a public value object to a JSON-able dict."""
-    if isinstance(obj, (Request, Reply)):
+    if isinstance(obj, (_envelopes.Request, _envelopes.Reply)):
         return _envelopes.to_dict(obj)
     return _codec.encode(obj)
 

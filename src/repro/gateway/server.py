@@ -29,10 +29,13 @@ The robustness machinery is the point, not an afterthought:
   committed work would invite a client retry and a double-submit.
 - **Group commit.** Concurrently arriving envelopes are batched into
   one batched ``dispatch`` call — on a durable service one WAL record and
-  one fsync for the whole batch — with ``max_delay`` bounding how long
-  an envelope may wait for co-travellers. This is what keeps
-  fsyncs/request below 1 under concurrency (``benchmarks/bench_server.py``
-  gates it).
+  one fsync for the whole batch. The commit is adaptive: admission starts
+  the flush at once, so it runs on the next event-loop turn and takes
+  everything that arrived in that turn. ``dispatch`` and its fsync hold
+  the loop thread, so whatever arrives during one commit forms the next
+  batch; there is no linger timer, which would only add latency. This is
+  what keeps fsyncs/request below 1 under concurrency
+  (``benchmarks/bench_server.py`` gates it).
 - **Graceful drain.** :meth:`GatewayServer.drain` (wired to SIGTERM by
   :func:`serve`) stops accepting, answers stragglers ``overloaded``,
   lets queued work finish, checkpoints a durable service, and closes.
@@ -189,8 +192,6 @@ class ServerConfig:
     port: int = 0
     max_pending: int = 64  # global admission bound (queued + in flight)
     tenant_pending: int = 16  # per-tenant fair-share bound
-    max_batch: int = 32  # flush a write batch at this size
-    max_delay: float = 0.002  # seconds an envelope may wait to batch
     read_timeout: float = 5.0  # slow-loris guard on request reads
     retry_after: float = 0.05  # hint carried by overloaded replies
 
@@ -554,10 +555,7 @@ class GatewayServer:
         self._tenant_pending[tenant] = self._tenant_pending.get(tenant, 0) + 1
         entry.future.add_done_callback(lambda _f: self._release(tenant))
         self._queue.append(entry)
-        if len(self._queue) >= self.config.max_batch:
-            self._schedule_flush(now=True)
-        elif self._flush_task is None:
-            self._flush_task = self._loop.create_task(self._delayed_flush())
+        self._schedule_flush()
         return await self._await_entry(entry)
 
     def _release(self, tenant) -> None:
@@ -581,21 +579,16 @@ class GatewayServer:
                 entry.future.set_result(self._deadline_reply(entry.kind))
             return await entry.future
 
-    def _schedule_flush(self, *, now: bool = False) -> None:
-        if now and self._flush_task is not None:
-            self._flush_task.cancel()
-            self._flush_task = None
+    def _schedule_flush(self) -> None:
+        # No timer: the task runs on the next loop turn. While it waits
+        # (for that turn, or for the lock a stalled batch holds) every
+        # new arrival joins its queue instead of starting another flush.
         if self._flush_task is None:
-            coro = self._flush() if now else self._delayed_flush()
-            self._flush_task = self._loop.create_task(coro)
-
-    async def _delayed_flush(self) -> None:
-        await asyncio.sleep(self.config.max_delay)
-        await self._flush()
+            self._flush_task = self._loop.create_task(self._flush())
 
     async def _flush(self) -> None:
-        self._flush_task = None
         async with self._flush_lock:
+            self._flush_task = None
             batch, self._queue = self._queue, []
             now = self._loop.time()
             live: list[_Entry] = []

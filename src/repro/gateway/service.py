@@ -263,11 +263,13 @@ class PricingService:
         self._checkpoint_every: int | None = None
         self._retain_checkpoints: int | None = None
         self._records_since_checkpoint = 0
-        # Ordered envelopes that rebuilt the current fleet; the checkpoint
-        # serializes this (at capture time — appends stay O(1) so the bulk
-        # hot path is untaxed) instead of the engine's internals. None
-        # means the fleet arrived via attach_fleet and has no dispatch
-        # history (such a service cannot be checkpointed).
+        # Ordered envelopes that rebuilt the current fleet: a request, or a
+        # list of requests for one bulk run, stored bare (the history grows
+        # with every served bid, so no wrapper object per entry). The
+        # checkpoint serializes this (at capture time — appends stay O(1)
+        # so the bulk hot path is untaxed) instead of the engine's
+        # internals. None means the fleet arrived via attach_fleet and has
+        # no dispatch history (such a service cannot be checkpointed).
         self._fleet_history: list | None = []
         self.wal_probe = None  # crash-injection seam (tests/crashpoints.py)
         if fleet is not None:
@@ -309,16 +311,12 @@ class PricingService:
         # A new period resets the logical fleet history: this Configure
         # plus the later fleet mutations fully determine engine state.
         self._fleet_history = [
-            {
-                "request": Configure(
-                    optimizations=tuple(
-                        (j, catalog.get(j).cost) for j in catalog
-                    ),
-                    horizon=horizon,
-                    shards=shards,
-                    workers=workers,
-                )
-            }
+            Configure(
+                optimizations=tuple((j, catalog.get(j).cost) for j in catalog),
+                horizon=horizon,
+                shards=shards,
+                workers=workers,
+            )
         ]
         return self.fleet
 
@@ -794,7 +792,7 @@ class PricingService:
 
     def _note_fleet_mutation(self, request: Request) -> None:
         if self._fleet_history is not None:
-            self._fleet_history.append({"request": request})
+            self._fleet_history.append(request)
 
     def attach_wal(
         self,
@@ -1041,7 +1039,7 @@ class PricingService:
         if self._fleet_history is not None:
             # The caller already must not mutate ``requests`` (the lazy
             # acks hold it too), so recording the run is one list append.
-            self._fleet_history.append({"requests": requests})
+            self._fleet_history.append(requests)
         return BulkAcks(requests, fleet.slot, None)
 
 

@@ -92,9 +92,9 @@ def capture_state(service, *, wal_seq: int) -> dict:
         # per checkpoint.
         state["fleet"] = {
             "history": [
-                {"requests": [to_dict(r) for r in entry["requests"]]}
-                if "requests" in entry
-                else {"request": to_dict(entry["request"])}
+                {"requests": [to_dict(r) for r in entry]}
+                if isinstance(entry, list)
+                else {"request": to_dict(entry)}
                 for entry in service._fleet_history
             ],
             "slot": service.fleet.slot,

@@ -4,6 +4,10 @@ Every stochastic entry point in the library accepts an ``rng`` argument that
 may be ``None`` (fresh default generator), an integer seed, or an existing
 :class:`numpy.random.Generator`. Centralizing the coercion here keeps the
 experiment drivers reproducible and the call sites tidy.
+
+``numpy.random`` loads on the first call, not with this module (``RngLike``
+names the generator type as a string): the server imports this module
+through the mechanisms but never draws a number.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from repro.errors import GameConfigError
 
-RngLike = Union[None, int, np.random.Generator]
+RngLike = Union[None, int, "np.random.Generator"]
 
 __all__ = ["ensure_rng", "spawn_rngs", "RngLike"]
 

@@ -8,10 +8,16 @@ argument wiring cannot silently rot (ISSUE 5 satellite): ``list``, each
 
 from __future__ import annotations
 
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import FIGURES, build_parser, main
 
 
@@ -75,15 +81,46 @@ class TestParser:
 
     def test_serve_flags(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--max-pending", "8",
-             "--max-delay", "0.01", "--wal-dir", "w"]
+            ["serve", "--port", "0", "--max-pending", "8", "--wal-dir", "w"]
         )
         assert args.port == 0 and args.max_pending == 8
-        assert args.max_delay == 0.01 and str(args.wal_dir) == "w"
+        assert str(args.wal_dir) == "w"
+        # Group commit is adaptive: there is no linger knob to pass.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--max-delay", "0.01"])
 
     def test_wal_gc_flags(self):
         args = build_parser().parse_args(["wal-gc", "w", "--retain", "3"])
         assert str(args.wal_dir) == "w" and args.retain == 3
+
+
+def test_serve_imports_stay_lean():
+    # `repro serve` pays in memory for every module it imports, so the
+    # serving path must not pull in the figures, the astronomy substrate,
+    # the worker pool, the client, or numpy's random generators.
+    src = Path(repro.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "import repro.cli, repro.gateway.server, repro.gateway.service\n"
+        "unwanted = ['repro.experiments', 'repro.astro', 'repro.fleet.mp',\n"
+        "            'repro.gateway.client', 'numpy.random', 'multiprocessing']\n"
+        "print([name for name in unwanted if name in sys.modules])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.gateway"])
+def test_every_public_name_resolves(package):
+    # Public names resolve on first access, so a stale entry in a
+    # package's lazy table would only fail when someone reached for it.
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        assert getattr(module, name) is not None, name
 
 
 class TestExecution:

@@ -162,15 +162,29 @@ class TestBulkIngestParity:
 
     GAMES, USERS, SLOTS = 23, 2_000, 120
 
-    @pytest.fixture(scope="class")
-    def pair(self):
+    # Intake shapes: one batch per duration (the generators' shape), and
+    # one ingest_many call per bid in arrival order with durations
+    # interleaved (the shape HTTP intake produces).
+    @pytest.fixture(scope="class", params=["per_duration", "per_bid_calls"])
+    def pair(self, request):
         costs = fleet_game_costs(5, self.GAMES, mean_cost=12.0)
         catalog = OptimizationCatalog.from_costs(costs)
+        arrivals = fleet_arrival_trace(6, self.USERS, self.GAMES, self.SLOTS)
         bulk = FleetEngine(catalog, horizon=self.SLOTS, shards=4)
-        for batch in fleet_batches(6, self.USERS, self.GAMES, self.SLOTS):
-            bulk.ingest(batch)
+        if request.param == "per_duration":
+            for batch in fleet_batches(6, self.USERS, self.GAMES, self.SLOTS):
+                bulk.ingest(batch)
+        else:
+            for arrival in arrivals:
+                batch = FleetBatch(
+                    users=(arrival.user,),
+                    opt_ranks=np.array([bulk.rank_of(arrival.optimization)]),
+                    starts=np.array([arrival.bid.start]),
+                    values=np.array([arrival.bid.schedule.values]),
+                )
+                bulk.ingest_many([batch])
         per_bid = FleetEngine(catalog, horizon=self.SLOTS, shards=4)
-        for arrival in fleet_arrival_trace(6, self.USERS, self.GAMES, self.SLOTS):
+        for arrival in arrivals:
             per_bid.place_bid(arrival.user, arrival.optimization, arrival.bid)
         return bulk.run_to_end(), per_bid.run_to_end()
 

@@ -18,6 +18,7 @@ this file covers the contracts one at a time:
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
 import random
@@ -39,9 +40,11 @@ from repro.gateway import (
     SubmitBids,
 )
 from repro.gateway.client import GatewayClient, GatewayUnavailable
+from repro.gateway.envelopes import to_dict
 from repro.gateway.server import (
     HTTP_STATUS,
     ROUTES,
+    GatewayServer,
     ServerConfig,
     ServerThread,
     path_for_kind,
@@ -317,7 +320,7 @@ class TestAdmissionControl:
     def test_global_bound_sheds_while_queue_is_full(self):
         stall = Stall({0: 0.5})
         thread, _service, host, port = make_server(
-            stall_hook=stall, max_pending=2, max_delay=0.001
+            stall_hook=stall, max_pending=2
         )
         probe = GatewayClient(host, port, max_attempts=1)
         fillers = [GatewayClient(host, port) for _ in range(2)]
@@ -348,7 +351,7 @@ class TestAdmissionControl:
     def test_tenant_fair_share_sheds_only_the_hog(self):
         stall = Stall({0: 0.5})
         thread, _service, host, port = make_server(
-            stall_hook=stall, tenant_pending=1, max_delay=0.001
+            stall_hook=stall, tenant_pending=1
         )
         probe = GatewayClient(host, port, max_attempts=1)
         hog = GatewayClient(host, port)
@@ -416,9 +419,7 @@ class TestGroupCommit:
         stall = Stall({1: 0.4})
         service = PricingService()
         service.attach_wal(tmp_path / "wal")
-        thread = ServerThread(
-            service, ServerConfig(port=0, max_delay=0.02), stall_hook=stall
-        )
+        thread = ServerThread(service, ServerConfig(port=0), stall_hook=stall)
         host, port = thread.start()
         clients = [GatewayClient(host, port) for _ in range(5)]
         try:
@@ -456,6 +457,50 @@ class TestGroupCommit:
                 client.close()
             thread.stop()
             service.close()
+
+    def test_lone_request_flushes_without_a_timer(self):
+        # Adaptive group commit: admission starts the flush for the next
+        # loop turn, so no timer (a linger delay) is scheduled between a
+        # request's admission and its batch reaching dispatch.
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            timers: list = []
+            call_at = loop.call_at
+
+            def recording_call_at(when, callback, *args, **kwargs):
+                timers.append(when - loop.time())
+                return call_at(when, callback, *args, **kwargs)
+
+            loop.call_at = recording_call_at
+            marks: dict = {}
+
+            async def stall(requests):
+                marks["dispatch"] = len(timers)
+
+            server = GatewayServer(
+                PricingService(), ServerConfig(port=0), stall_hook=stall
+            )
+            admit = server._admit_and_dispatch
+
+            async def admit_marked(*args):
+                marks["admitted"] = len(timers)
+                return await admit(*args)
+
+            server._admit_and_dispatch = admit_marked
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            body = json.dumps(to_dict(CONFIG)).encode()
+            head = b"POST /v1/slots HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            writer.write(head % len(body) + body)
+            await writer.drain()
+            status = await reader.readline()
+            writer.close()
+            await server.drain()
+            return status, timers[marks["admitted"]:marks["dispatch"]]
+
+        status, timers = asyncio.run(scenario())
+        assert status.startswith(b"HTTP/1.1 200")
+        assert timers == []
 
 
 class TestDrain:

@@ -488,45 +488,48 @@ def _run_replay(args) -> int:
     from repro.gateway.trace import iter_trace, replay
 
     service = PricingService()
-    if args.particles > 0:
-        _load_universe(service, args.particles, args.snapshots, args.seed)
-    if args.wal_dir is not None:
-        # Attach after the universe load so the base checkpoint covers
-        # the preloaded tables; every replayed envelope is then durable.
-        service.attach_wal(
-            args.wal_dir,
-            checkpoint_every=args.checkpoint_every,
-            retain_checkpoints=args.retain_checkpoints,
-        )
-        print(f"[write-ahead log at {args.wal_dir}]")
-    result = replay(iter_trace(args.trace), service=service)
-    counts = result.counts()
-    total = len(result.replies)
-    print(f"== replay: {args.trace} -> {total} replies ==")
-    for kind in sorted(counts):
-        print(f"{kind:<16} {counts[kind]:>6}")
-    for reply in result.errors:
-        print(
-            f"error [{reply.get('code')}] {reply.get('request_kind') or '?'}: "
-            f"{reply.get('message')}"
-        )
-    if result.service.fleet is not None:
-        report = result.service.report()
-        print(
-            f"period: slot {result.service.slot}/{result.service.fleet.horizon}, "
-            f"{len(report.implemented)} implemented, "
-            f"cloud balance {report.cloud_balance:.2f}"
-        )
-    if args.replies is not None:
-        args.replies.parent.mkdir(parents=True, exist_ok=True)
-        with open(args.replies, "w", encoding="utf-8") as handle:
-            for reply in result.replies:
-                handle.write(json.dumps(reply) + "\n")
-        print(f"[replies written to {args.replies}]")
-    if args.strict and result.errors:
-        print(f"{len(result.errors)} request(s) failed (--strict)")
-        return 1
-    return 0
+    try:
+        if args.particles > 0:
+            _load_universe(service, args.particles, args.snapshots, args.seed)
+        if args.wal_dir is not None:
+            # Attach after the universe load so the base checkpoint covers
+            # the preloaded tables; every replayed envelope is then durable.
+            service.attach_wal(
+                args.wal_dir,
+                checkpoint_every=args.checkpoint_every,
+                retain_checkpoints=args.retain_checkpoints,
+            )
+            print(f"[write-ahead log at {args.wal_dir}]")
+        result = replay(iter_trace(args.trace), service=service)
+        counts = result.counts()
+        total = len(result.replies)
+        print(f"== replay: {args.trace} -> {total} replies ==")
+        for kind in sorted(counts):
+            print(f"{kind:<16} {counts[kind]:>6}")
+        for reply in result.errors:
+            print(
+                f"error [{reply.get('code')}] {reply.get('request_kind') or '?'}: "
+                f"{reply.get('message')}"
+            )
+        if result.service.fleet is not None:
+            report = result.service.report()
+            print(
+                f"period: slot {result.service.slot}/{result.service.fleet.horizon}, "
+                f"{len(report.implemented)} implemented, "
+                f"cloud balance {report.cloud_balance:.2f}"
+            )
+        if args.replies is not None:
+            args.replies.parent.mkdir(parents=True, exist_ok=True)
+            with open(args.replies, "w", encoding="utf-8") as handle:
+                for reply in result.replies:
+                    handle.write(json.dumps(reply) + "\n")
+            print(f"[replies written to {args.replies}]")
+        if args.strict and result.errors:
+            print(f"{len(result.errors)} request(s) failed (--strict)")
+            return 1
+        return 0
+    finally:
+        service.close()
 
 
 def _run_serve(args) -> int:

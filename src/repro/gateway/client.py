@@ -1,9 +1,22 @@
 """Blocking HTTP client for the gateway server, with disciplined retries.
 
 :class:`GatewayClient` is the reference consumer of
-:mod:`repro.gateway.server`: stdlib ``http.client`` over one keep-alive
-connection, envelopes in, envelopes out. Its retry policy is the part
-worth copying:
+:mod:`repro.gateway.server`: one keep-alive TCP connection, envelopes in,
+envelopes out. It frames the small HTTP/1.1 subset the server speaks
+itself rather than going through ``http.client``:
+
+- ``TCP_NODELAY`` is set, and each request leaves as **one** ``sendall``
+  of head and body together.
+- The reply is read into one buffer and its head parsed in one pass:
+  the status line, ``Content-Length`` and ``Connection``. The body is
+  read to exactly that length; a reply that arrives with surplus bytes
+  after its body closes the connection, so nothing is carried over.
+- ``Content-Length`` is the only framing accepted. A reply with a
+  missing or bad length, any ``Transfer-Encoding``, or a body that does
+  not decode (JSON, or UTF-8 text for the scrape) is a *malformed reply*,
+  handled exactly like a torn connection below.
+
+Its retry policy is the part worth copying:
 
 - An :class:`ErrorReply` is retried **only** when it says so
   (``retryable: true`` — the ``overloaded`` and ``deadline_exceeded``
@@ -33,9 +46,9 @@ everywhere else in the gateway.
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
+import socket
 import time
 
 from repro import obs
@@ -61,6 +74,9 @@ READ_ONLY_KINDS = frozenset(
     {"RunQuery", "AdviseRequest", "LedgerQuery", "MetricsRequest"}
 )
 
+_RECV_BYTES = 65536
+_MAX_HEAD = 65536  # a reply head larger than this is malformed
+
 _RETRIES_TOTAL = obs.REGISTRY.counter(
     "repro_client_retries_total",
     "Request attempts beyond the first, by request kind.",
@@ -82,8 +98,8 @@ class GatewayClient:
     ``max_attempts`` bounds tries per request (first try included);
     ``base_delay``/``max_delay`` shape the capped-exponential backoff;
     ``rng`` injects determinism into the jitter for tests. Not
-    thread-safe — one client per thread, like the underlying
-    ``http.client`` connection.
+    thread-safe — one client per thread, since the connection carries
+    one exchange at a time.
     """
 
     def __init__(
@@ -106,7 +122,7 @@ class GatewayClient:
         self.max_delay = float(max_delay)
         self._rng = rng or random.Random()
         self._sleep = sleep
-        self._conn: http.client.HTTPConnection | None = None
+        self._sock: socket.socket | None = None
 
     # ------------------------------------------------------------ public --
 
@@ -115,35 +131,39 @@ class GatewayClient:
         decoded reply. ``deadline`` (seconds) is forwarded as the
         ``X-Repro-Deadline`` header."""
         payload = to_dict(request)
-        path = path_for_kind(payload["kind"])
-        read_only = payload["kind"] in READ_ONLY_KINDS
+        kind = payload["kind"]
+        path = path_for_kind(kind)
+        read_only = kind in READ_ONLY_KINDS
         body = json.dumps(payload).encode()
-        headers = {"Content-Type": "application/json"}
+        extra = ""
         if deadline is not None:
-            headers[DEADLINE_HEADER] = repr(float(deadline))
+            extra = f"{DEADLINE_HEADER}: {float(deadline)!r}\r\n"
+        message = (
+            f"POST {path} HTTP/1.1\r\nHost: {self.host}:{self.port}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n{extra}\r\n"
+        ).encode("latin-1") + body
 
         last_failure = ""
         last_shed: Reply | None = None
         for attempt in range(self.max_attempts):
             if attempt:
-                _RETRIES_TOTAL.labels(kind=payload["kind"]).inc()
-            sent = False
+                _RETRIES_TOTAL.labels(kind=kind).inc()
             fresh = False
             try:
-                conn, fresh = self._connection()
-                sent = True  # past here a mutation may have landed
-                conn.request("POST", path, body=body, headers=headers)
-                raw = self._read_response(conn)
+                sock, fresh = self._connection()
+                # Past here a mutation may have landed.
+                raw = _json(self._exchange(sock, message))
             except ConnectionRefusedError as exc:
                 # Nothing listening: the request never left this process.
                 self._drop_connection()
                 last_failure = f"connection refused: {exc}"
-            except (OSError, http.client.HTTPException) as exc:
+            except (OSError, GatewayUnavailable) as exc:
                 self._drop_connection()
-                if sent and not read_only and fresh:
+                if fresh and not read_only:
                     raise GatewayUnavailable(
                         f"connection to {self.host}:{self.port} died "
-                        f"mid-exchange on a mutating {payload['kind']}; "
+                        f"mid-exchange on a mutating {kind} ({exc}); "
                         "the server may or may not have committed it — "
                         "not retrying"
                     ) from exc
@@ -167,32 +187,12 @@ class GatewayClient:
     def health(self) -> dict:
         """One GET of ``/v1/healthz`` (raw counters dict); retried only
         across the stale keep-alive race, never on a fresh connection."""
-        while True:
-            conn, fresh = self._connection()
-            try:
-                conn.request("GET", HEALTH_PATH)
-                return self._read_response(conn)
-            except (OSError, http.client.HTTPException):
-                self._drop_connection()
-                if fresh:
-                    raise
+        return self._get(HEALTH_PATH, _json)
 
     def metrics_text(self) -> str:
         """One GET of ``/v1/metrics`` (the server's Prometheus text
         exposition); same retry stance as :meth:`health`."""
-        while True:
-            conn, fresh = self._connection()
-            try:
-                conn.request("GET", METRICS_PATH)
-                response = conn.getresponse()
-                body = response.read()
-                if response.will_close:
-                    self._drop_connection()
-                return body.decode("utf-8")
-            except (OSError, http.client.HTTPException):
-                self._drop_connection()
-                if fresh:
-                    raise
+        return self._get(METRICS_PATH, _text)
 
     def close(self) -> None:
         self._drop_connection()
@@ -205,30 +205,46 @@ class GatewayClient:
 
     # ----------------------------------------------------------- innards --
 
-    def _connection(self) -> tuple[http.client.HTTPConnection, bool]:
-        """The keep-alive connection plus whether it was opened just now
+    def _get(self, path: str, decode):
+        message = (
+            f"GET {path} HTTP/1.1\r\nHost: {self.host}:{self.port}\r\n\r\n"
+        ).encode("latin-1")
+        while True:
+            sock, fresh = self._connection()
+            try:
+                return decode(self._exchange(sock, message))
+            except (OSError, GatewayUnavailable):
+                self._drop_connection()
+                if fresh:
+                    raise
+
+    def _connection(self) -> tuple[socket.socket, bool]:
+        """The keep-alive socket plus whether it was opened just now
         (a reused one may have been idle-closed by the server)."""
-        if self._conn is not None:
-            return self._conn, False
-        self._conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
+        if self._sock is not None:
+            return self._sock, False
+        sock = socket.create_connection(
+            (self.host, self.port), timeout=self.timeout
         )
-        self._conn.connect()
-        return self._conn, True
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = sock
+        return sock, True
 
     def _drop_connection(self) -> None:
-        if self._conn is not None:
+        if self._sock is not None:
             try:
-                self._conn.close()
+                self._sock.close()
             finally:
-                self._conn = None
+                self._sock = None
 
-    def _read_response(self, conn) -> dict:
-        response = conn.getresponse()
-        body = response.read()
-        if response.will_close:
+    def _exchange(self, sock: socket.socket, message: bytes) -> bytes:
+        """Send one request in one ``sendall`` and return its reply body;
+        drops the connection afterwards when the reply says it will close."""
+        sock.sendall(message)
+        body, keep_alive = _read_reply(sock)
+        if not keep_alive:
             self._drop_connection()
-        return json.loads(body)
+        return body
 
     def _backoff(self, attempt: int, *, floor: float = 0.0) -> None:
         """Capped exponential with full jitter, never below ``floor``."""
@@ -238,3 +254,90 @@ class GatewayClient:
         delay = max(self._rng.uniform(0, ceiling), floor)
         _BACKOFF_SECONDS.inc(delay)
         self._sleep(delay)
+
+
+def _read_reply(sock: socket.socket) -> tuple[bytes, bool]:
+    """Read one reply: ``(body, whether the connection stays open)``.
+
+    A peer that closes before the reply is complete raises
+    :class:`ConnectionError`; a reply framed by anything but a valid
+    ``Content-Length`` raises :class:`GatewayUnavailable`.
+    """
+    data = b""
+    end = -1
+    while end < 0:
+        if len(data) > _MAX_HEAD:
+            raise GatewayUnavailable(f"reply head exceeds {_MAX_HEAD} bytes")
+        chunk = sock.recv(_RECV_BYTES)
+        if not chunk:
+            raise ConnectionError("connection closed before the reply head")
+        start = max(len(data) - 3, 0)  # a terminator split across chunks
+        data += chunk
+        end = data.find(b"\r\n\r\n", start)
+
+    status_line, *lines = data[:end].decode("latin-1").split("\r\n")
+    version, _, rest = status_line.partition(" ")
+    status = rest.partition(" ")[0]
+    if not (
+        version.startswith("HTTP/1.")
+        and len(status) == 3
+        and status.isascii()
+        and status.isdigit()
+    ):
+        raise GatewayUnavailable(f"malformed status line {status_line!r}")
+    keep_alive = version == "HTTP/1.1"
+    length = None
+    for line in lines:
+        name, sep, value = line.partition(":")
+        if not sep:
+            raise GatewayUnavailable(f"malformed reply header {line!r}")
+        name = name.strip().lower()
+        if name == "content-length":
+            value = value.strip()
+            if not (value.isascii() and value.isdigit() and len(value) < 16):
+                raise GatewayUnavailable(f"bad Content-Length {value!r}")
+            if length is not None and int(value) != length:
+                raise GatewayUnavailable("conflicting Content-Length headers")
+            length = int(value)
+        elif name == "transfer-encoding":
+            raise GatewayUnavailable(
+                f"unsupported Transfer-Encoding {value.strip()!r}"
+            )
+        elif name == "connection":
+            tokens = value.lower().replace(" ", "").split(",")
+            if "close" in tokens:
+                keep_alive = False
+            elif "keep-alive" in tokens:
+                keep_alive = True
+    if length is None:
+        raise GatewayUnavailable("reply carries no Content-Length")
+
+    body = data[end + 4 :]
+    if len(body) > length:
+        return body[:length], False  # surplus bytes: never reuse them
+    if len(body) < length:
+        buffer = bytearray(length)
+        have = len(body)
+        buffer[:have] = body
+        with memoryview(buffer) as view:
+            while have < length:
+                got = sock.recv_into(view[have:])
+                if not got:
+                    raise ConnectionError("connection closed mid-reply body")
+                have += got
+        body = bytes(buffer)
+    return body, keep_alive
+
+
+def _json(body: bytes):
+    try:
+        return json.loads(body)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise GatewayUnavailable(f"reply body is not JSON: {exc}") from None
+
+
+def _text(body: bytes) -> str:
+    try:
+        return body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GatewayUnavailable(f"reply body is not UTF-8: {exc}") from None

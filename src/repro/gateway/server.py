@@ -373,7 +373,10 @@ class GatewayServer:
         ``progress`` is mutated so the slow-loris guard can tell a
         half-sent request from an idle keep-alive after a timeout.
         """
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError:  # past asyncio's 64 KiB stream limit
+            raise _BadRequest("request line too long") from None
         if not line:
             return None
         progress["started"] = True
@@ -389,7 +392,10 @@ class GatewayServer:
             raise _BadRequest(f"unsupported protocol {version}")
         headers: dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # past asyncio's 64 KiB stream limit
+                raise _BadRequest("header line too long") from None
             if not line:
                 raise _TornRequest
             if not line.endswith(b"\n"):

@@ -38,7 +38,7 @@ from repro.gateway.envelopes import (
     request_from_dict,
     to_dict,
 )
-from repro.gateway.wal.records import checksum
+from repro.gateway.wal.records import checksum, with_checksum
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -111,13 +111,14 @@ def write_checkpoint(directory, state: dict, probe=None) -> Path:
     Write-to-temp, fsync, rename, fsync-the-directory: a crash at any
     point leaves either the previous checkpoint set intact (plus at most
     a stale ``*.tmp`` that recovery ignores) or the complete new file.
+    The file is the state's canonical JSON with its CRC spliced on, so
+    the state is serialized once; :func:`load_checkpoint` reads any key
+    order and spacing, including the older ``json.dump`` layout.
     """
     path = checkpoint_path(directory, state["wal_seq"])
-    payload = dict(state)
-    payload["crc"] = checksum(state)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+        handle.write(with_checksum(state))
         handle.flush()
         os.fsync(handle.fileno())
     if probe is not None:

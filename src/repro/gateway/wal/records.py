@@ -38,6 +38,7 @@ __all__ = [
     "encode_record",
     "decode_record",
     "checksum",
+    "with_checksum",
 ]
 
 #: File the write-ahead log lives in, inside a service's WAL directory.
@@ -112,6 +113,19 @@ def checksum(payload) -> int:
     return zlib.crc32(_canonical(payload).encode("utf-8")) & 0xFFFFFFFF
 
 
+def with_checksum(payload: dict) -> str:
+    """``payload``'s canonical JSON with its :func:`checksum` spliced on
+    as a trailing ``"crc"`` key.
+
+    The body is serialized exactly once: the text *is* the canonical
+    form the checksum covers. ``payload`` must be a non-empty object
+    without a ``crc`` key of its own.
+    """
+    canonical = _canonical(payload)
+    crc = zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF
+    return f'{canonical[:-1]},"crc":{crc}}}'
+
+
 @dataclass(frozen=True)
 class WalRecord:
     """One durably logged dispatch: a single envelope or an atomic run.
@@ -132,19 +146,16 @@ class WalRecord:
 def encode_record(record: WalRecord) -> str:
     """One record -> its JSONL line (trailing newline included).
 
-    The body is serialized exactly once: the line *is* the canonical
-    form the checksum covers, with the ``crc`` field spliced onto the
-    end — a bulk record at 50k users is megabytes of JSON, and a second
-    ``dumps`` pass for the checksum would double the append cost.
+    The body is serialized exactly once (:func:`with_checksum`) — a bulk
+    record at 50k users is megabytes of JSON, and a second ``dumps``
+    pass for the checksum would double the append cost.
     """
     body: dict = {"seq": record.seq, "epoch": record.epoch}
     if record.batch:
         body["requests"] = list(record.requests)
     else:
         body["request"] = record.requests[0]
-    canonical = _canonical(body)
-    crc = zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF
-    return f'{canonical[:-1]},"crc":{crc}}}\n'
+    return with_checksum(body) + "\n"
 
 
 def _int_field(payload: dict, name: str) -> int:

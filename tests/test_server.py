@@ -13,7 +13,8 @@ this file covers the contracts one at a time:
 - concurrent envelopes group-commit into fewer batches (and fewer
   fsyncs) than requests;
 - graceful drain checkpoints a durable service;
-- the client retries exactly what its policy says it retries.
+- the client retries exactly what its policy says it retries, and its
+  HTTP/1.1 framing holds against a scripted server's bad replies.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import asyncio
 import http.client
 import json
 import random
+import socket
 import threading
 import time
 
@@ -35,6 +37,7 @@ from repro.gateway import (
     Configure,
     ErrorReply,
     LedgerQuery,
+    LedgerReply,
     PricingService,
     RunQuery,
     SubmitBids,
@@ -280,6 +283,29 @@ class TestRawHttp:
         )
         assert status == 400
         assert payload["code"] == "protocol"
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"POST /v1/ledger HTTP/1.1\r\nX-Pad: " + b"a" * 70 * 1024 + b"\r\n\r\n",
+            b"POST /v1/" + b"a" * 70 * 1024 + b" HTTP/1.1\r\n\r\n",
+        ],
+        ids=["header_line", "request_line"],
+    )
+    def test_head_line_past_the_stream_limit_is_400(self, gateway, head):
+        # asyncio's 64 KiB line limit raises out of readline(); it must
+        # come back as a typed 400, not a crashed connection task.
+        client, _service, _thread = gateway
+        with socket.create_connection((client.host, client.port), timeout=10) as sock:
+            sock.sendall(head)
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        reply_head, _, body = raw.partition(b"\r\n\r\n")
+        assert reply_head.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in reply_head
+        assert json.loads(body)["code"] == "protocol"
+        assert client.health()["status"] == "ok"  # still serving
 
     def test_overloaded_is_429_with_retry_after_header(self):
         thread, _service, host, port = make_server(max_pending=0)
@@ -626,3 +652,225 @@ class TestClientPolicy:
                 replacement.stop()
         finally:
             client.close()
+
+
+def http_reply(body: bytes, *, close: bool = False) -> bytes:
+    """A well-framed 200 reply carrying ``body``."""
+    head = f"HTTP/1.1 200 OK\r\nContent-Length: {len(body)}\r\n"
+    if close:
+        head += "Connection: close\r\n"
+    return head.encode() + b"\r\n" + body
+
+
+LEDGER = LedgerReply(tenant="ann", invoices=(), total=0.0, cloud_balance=0.0)
+LEDGER_BODY = json.dumps(to_dict(LEDGER)).encode()
+LEDGER_REPLY = http_reply(LEDGER_BODY)
+BID = SubmitBids(tenant="ann", bids=(("idx", 1, (30.0,)),))
+
+#: Replies the client must refuse as malformed, not misread.
+BAD_REPLIES = {
+    "no_length": b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{}",
+    "chunked": (
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"2\r\n{}\r\n0\r\n\r\n"
+    ),
+    "bad_length": b"HTTP/1.1 200 OK\r\nContent-Length: 2x\r\n\r\n{}",
+    "bad_status": b"HTTP/1.1 OK\r\nContent-Length: 2\r\n\r\n{}",
+    "not_json": http_reply(b"<html>upstream error</html>"),
+}
+
+
+class ScriptedServer:
+    """A one-connection-at-a-time socket server that answers each request
+    with the next scripted reply, and records every request head.
+
+    A reply given as a list is sent one element per segment, with a
+    short pause between them. A reply whose head says
+    ``Connection: close`` closes its connection, as does running out of
+    replies.
+    """
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.heads: list[bytes] = []
+        self.connections = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.host, self.port = self._listener.getsockname()[:2]
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def close(self) -> None:
+        self._stop.set()
+        self._thread.join(timeout=10)
+        self._listener.close()
+
+    def _serve(self) -> None:
+        while not self._stop.is_set():
+            try:
+                conn, _addr = self._listener.accept()
+            except TimeoutError:
+                continue
+            self.connections += 1
+            with conn:
+                conn.settimeout(10)
+                self._answer(conn)
+
+    def _answer(self, conn) -> None:
+        buffer = b""
+        while self.replies:
+            while b"\r\n\r\n" not in buffer:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    return
+                buffer += chunk
+            head, _, buffer = buffer.partition(b"\r\n\r\n")
+            length = 0
+            for line in head.split(b"\r\n")[1:]:
+                name, _, value = line.partition(b":")
+                if name.strip().lower() == b"content-length":
+                    length = int(value)
+            while len(buffer) < length:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    return
+                buffer += chunk
+            buffer = buffer[length:]
+            self.heads.append(head)
+            reply = self.replies.pop(0)
+            if isinstance(reply, list):
+                for piece in reply:
+                    conn.sendall(piece)
+                    time.sleep(0.001)
+                reply = b"".join(reply)
+            else:
+                conn.sendall(reply)
+            if b"connection: close" in reply.partition(b"\r\n\r\n")[0].lower():
+                return
+
+
+@pytest.fixture()
+def scripted():
+    servers: list[ScriptedServer] = []
+
+    def start(*replies) -> ScriptedServer:
+        server = ScriptedServer(replies)
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.close()
+
+
+def quick_client(server, **knobs) -> GatewayClient:
+    return GatewayClient(
+        server.host, server.port, timeout=5.0, sleep=lambda _s: None, **knobs
+    )
+
+
+class TestClientTransport:
+    """The client's own HTTP/1.1 framing, against the real server and a
+    scripted one."""
+
+    def test_one_sendall_per_attempt(self, gateway, monkeypatch):
+        client, _service, _thread = gateway
+        sends: list[int] = []
+        sendall = socket.socket.sendall
+        caller = threading.get_ident()
+
+        def counting(sock, data, *args):
+            if threading.get_ident() == caller:
+                sends.append(len(data))
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", counting)
+        client.request(CONFIG)
+        client.request(BID)
+        client.health()
+        assert len(sends) == 3  # head and body leave together
+        # A shed is retried: still one send per attempt.
+        thread, _service, host, port = make_server(max_pending=0)
+        shed = GatewayClient(host, port, max_attempts=3, sleep=lambda _s: None)
+        try:
+            assert shed.request(BID).code == "overloaded"
+        finally:
+            shed.close()
+            thread.stop()
+        assert len(sends) == 6
+
+    def test_reply_dribbled_one_byte_per_segment(self, scripted):
+        server = scripted([bytes([byte]) for byte in LEDGER_REPLY], LEDGER_REPLY)
+        with quick_client(server) as client:
+            assert client.request(LedgerQuery(tenant="ann")) == LEDGER
+            assert client.request(LedgerQuery(tenant="ann")) == LEDGER
+        assert server.connections == 1
+
+    def test_connection_close_is_honoured(self, scripted):
+        server = scripted(
+            http_reply(LEDGER_BODY, close=True), LEDGER_REPLY, LEDGER_REPLY
+        )
+        with quick_client(server) as client:
+            for _ in range(3):
+                assert client.request(LedgerQuery(tenant="ann")) == LEDGER
+        # Closed after the first reply; the next two share a new socket.
+        assert server.connections == 2
+
+    def test_surplus_bytes_after_the_body_are_never_reused(self, scripted):
+        server = scripted(LEDGER_REPLY + b"HTTP/1.1 200 OK\r\n", LEDGER_REPLY)
+        with quick_client(server) as client:
+            assert client.request(LedgerQuery(tenant="ann")) == LEDGER
+            assert client.request(LedgerQuery(tenant="ann")) == LEDGER
+        assert server.connections == 2
+
+    @pytest.mark.parametrize("bad", sorted(BAD_REPLIES))
+    def test_malformed_reply_on_a_fresh_mutating_exchange_raises(
+        self, scripted, bad
+    ):
+        server = scripted(BAD_REPLIES[bad])
+        with quick_client(server) as client:
+            with pytest.raises(GatewayUnavailable, match="may or may not"):
+                client.request(BID)
+        assert len(server.heads) == 1  # never retried: it may have landed
+
+    @pytest.mark.parametrize("bad", sorted(BAD_REPLIES))
+    def test_malformed_reply_is_retried_for_read_only_kinds(self, scripted, bad):
+        server = scripted(BAD_REPLIES[bad], LEDGER_REPLY)
+        with quick_client(server) as client:
+            assert client.request(LedgerQuery(tenant="ann")) == LEDGER
+        assert len(server.heads) == 2
+
+    def test_malformed_replies_exhaust_into_gateway_unavailable(self, scripted):
+        server = scripted(*[BAD_REPLIES["not_json"]] * 3)
+        with quick_client(server, max_attempts=3) as client:
+            with pytest.raises(GatewayUnavailable, match="3 attempts"):
+                client.request(LedgerQuery(tenant="ann"))
+        assert len(server.heads) == 3
+
+    def test_health_and_metrics_share_the_request_connection(self, gateway):
+        client, _service, _thread = gateway
+        client.request(CONFIG)
+        sock = client._sock
+        assert client.health()["dispatched"] == 1
+        assert "repro_server_requests_total" in client.metrics_text()
+        assert client._sock is sock
+
+    def test_health_on_a_fresh_malformed_reply_raises_typed(self, scripted):
+        server = scripted(BAD_REPLIES["chunked"])
+        with quick_client(server) as client:
+            with pytest.raises(GatewayUnavailable, match="Transfer-Encoding"):
+                client.health()
+        assert len(server.heads) == 1
+
+    def test_request_head_carries_length_and_deadline(self, scripted):
+        server = scripted(LEDGER_REPLY, LEDGER_REPLY)
+        with quick_client(server) as client:
+            client.request(LedgerQuery(tenant="ann"), deadline=2.5)
+            client.request(LedgerQuery(tenant="ann"))
+        with_deadline, without = (head.decode().lower() for head in server.heads)
+        body = json.dumps(to_dict(LedgerQuery(tenant="ann"))).encode()
+        assert with_deadline.startswith("post /v1/ledger http/1.1\r\n")
+        assert f"\r\ncontent-length: {len(body)}" in with_deadline
+        assert "\r\nx-repro-deadline: 2.5" in with_deadline
+        assert "x-repro-deadline" not in without

@@ -388,6 +388,32 @@ def test_corrupt_latest_checkpoint_falls_back_to_an_older_one():
     assert fingerprint(recovered) == fingerprint(reference)
 
 
+def test_checkpoint_in_the_json_dump_layout_still_loads(tmp_path):
+    # Checkpoints are written as canonical JSON with the CRC spliced on;
+    # files from before that change were json.dump'd in capture order
+    # with default spacing, and must still verify and recover.
+    from repro.gateway.wal.checkpoint import load_checkpoint
+    from repro.gateway.wal.records import checksum, with_checksum
+
+    def recovered_fingerprint():
+        service = PricingService.recover(directory)
+        try:
+            return fingerprint(service)
+        finally:
+            service.close()
+
+    directory = _durable_run(checkpoint_every=2, tmp=tmp_path)
+    expected = recovered_fingerprint()
+    for path in directory.glob("checkpoint-*.json"):
+        payload = load_checkpoint(path)
+        state = {key: value for key, value in payload.items() if key != "crc"}
+        assert path.read_text(encoding="utf-8") == with_checksum(state)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({**state, "crc": checksum(state)}, handle)
+        assert load_checkpoint(path) == payload
+    assert recovered_fingerprint() == expected
+
+
 def test_every_checkpoint_corrupt_is_a_recovery_error():
     directory = _durable_run(checkpoint_every=2)
     for checkpoint in directory.glob("checkpoint-*.json"):

@@ -10,7 +10,8 @@ The acceptance bar is a >= 3x cut in *metered* workload cost (simulated
 cost units, not wall-clock), which is scale-independent and therefore
 enforced even in smoke mode — the ratio is a property of the plans the
 cost-based planner serves, not of the machine. Results are recorded via
-``harness.record`` into ``BENCH_PR9.json``. Run as a script:
+``harness.record`` into the trajectory (``harness.TRAJECTORY_PATH``).
+Run as a script:
 
     PYTHONPATH=src python benchmarks/bench_advisor.py
 """

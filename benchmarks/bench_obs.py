@@ -10,8 +10,8 @@ it on the two workloads the instrumentation rides:
 * the durable HTTP serving workload of ``bench_server.py`` (per-request
   counters + latency histograms + WAL append/fsync timers on every
   group commit);
-* the multi-process fleet workload of ``bench_fleet_mp.py`` (per-slot
-  advance timers, per-worker chunk timers).
+* an in-process fleet period (the per-slot advance timer of
+  :class:`~repro.fleet.FleetEngine`).
 
 Each workload runs alternately with the process-wide registry disabled
 and enabled (best of ``REPEATS`` per mode); the headline ratio is
@@ -41,10 +41,8 @@ from repro.workloads.fleet import fleet_batches, fleet_game_costs
 #: Server workload scale: (requests, client threads).
 REQUESTS, THREADS = harness.scale((6_000, 8), (200, 4))
 
-#: Fleet workload scale: (games, users, slots, workers).
-GAMES, USERS, SLOTS, WORKERS = harness.scale(
-    (40, 60_000, 400, 2), (8, 2_000, 60, 2)
-)
+#: Fleet workload scale: (games, users, slots).
+GAMES, USERS, SLOTS = harness.scale((40, 60_000, 400), (8, 2_000, 60))
 
 REPEATS = 3
 SEED = 2012
@@ -98,14 +96,11 @@ def _serve_once() -> float:
 
 
 def _fleet_once(catalog, batches) -> float:
-    """One multi-process fleet period; returns wall seconds."""
+    """One in-process fleet period; returns wall seconds."""
     begin = time.perf_counter()
-    fleet = FleetEngine.build(catalog, horizon=SLOTS, workers=WORKERS)
-    try:
-        fleet.ingest_many(batches)
-        fleet.run_to_end()
-    finally:
-        fleet.close()
+    fleet = FleetEngine(catalog, SLOTS)
+    fleet.ingest_many(batches)
+    fleet.run_to_end()
     return time.perf_counter() - begin
 
 
@@ -152,11 +147,10 @@ def test_obs_overhead_under_five_percent(emit):
                 f"{'workload':>12} {'off s':>9} {'on s':>9} {'off/on':>8}",
                 f"{'server':>12} {server_off:>9.3f} {server_on:>9.3f} "
                 f"{server_ratio:>7.3f}x",
-                f"{'fleet-mp':>12} {fleet_off:>9.3f} {fleet_on:>9.3f} "
+                f"{'fleet':>12} {fleet_off:>9.3f} {fleet_on:>9.3f} "
                 f"{fleet_ratio:>7.3f}x",
                 f"(server: {REQUESTS} requests / {THREADS} threads, WAL on; "
-                f"fleet: {GAMES} games / {USERS} users / {SLOTS} slots / "
-                f"{WORKERS} workers)",
+                f"fleet: {GAMES} games / {USERS} users / {SLOTS} slots)",
             ]
         ),
     )
@@ -177,12 +171,7 @@ def test_obs_overhead_under_five_percent(emit):
             "fleet_off_s": round(fleet_off, 3),
             "fleet_on_s": round(fleet_on, 3),
             "threads": THREADS,
-            "fleet": {
-                "games": GAMES,
-                "users": USERS,
-                "slots": SLOTS,
-                "workers": WORKERS,
-            },
+            "fleet": {"games": GAMES, "users": USERS, "slots": SLOTS},
         },
     )
     if harness.enforce_floors():

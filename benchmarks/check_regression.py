@@ -2,8 +2,7 @@
 
 Compares every fresh result under ``benchmarks/results/*.json`` against
 the committed trajectory baselines (``BENCH_PR10.json`` first, falling
-back to ``BENCH_PR9.json``/``BENCH_PR6.json``/``BENCH_PR4.json``/
-``BENCH_PR3.json`` for
+back to ``BENCH_PR6.json``/``BENCH_PR4.json``/``BENCH_PR3.json`` for
 benchmarks that predate it) and exits
 non-zero when a benchmark's headline speedup fell more than the allowed
 tolerance (default 20%) below its baseline.
@@ -132,7 +131,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--baselines", type=Path, nargs="+", default=None,
         help="trajectory files, newest first (default: the committed "
-        "HEAD versions of BENCH_PR10.json, BENCH_PR9.json, BENCH_PR6.json, BENCH_PR4.json and "
+        "HEAD versions of BENCH_PR10.json, BENCH_PR6.json, BENCH_PR4.json and "
         "BENCH_PR3.json)",
     )
     parser.add_argument(

@@ -5,8 +5,8 @@ writes one JSON file per benchmark under ``benchmarks/results/`` and
 merges the same entry into the top-level ``BENCH_PR10.json`` so the
 repository carries a machine-readable trajectory (speedup, scale, seed,
 commit) rather than only ad-hoc text tables. Earlier committed
-trajectories (``BENCH_PR9.json``, ``BENCH_PR6.json``, ``BENCH_PR4.json``,
-``BENCH_PR3.json``) stay in place as regression baselines:
+trajectories (``BENCH_PR6.json``, ``BENCH_PR4.json``, ``BENCH_PR3.json``)
+stay in place as regression baselines:
 ``benchmarks/check_regression.py`` compares fresh results against them
 and fails CI on a >20% speedup regression.
 
@@ -43,7 +43,6 @@ TRAJECTORY_PATH = ROOT / "BENCH_PR10.json"
 #: Committed trajectories, newest first — the regression-gate baselines.
 BASELINE_PATHS = (
     ROOT / "BENCH_PR10.json",
-    ROOT / "BENCH_PR9.json",
     ROOT / "BENCH_PR6.json",
     ROOT / "BENCH_PR4.json",
     ROOT / "BENCH_PR3.json",

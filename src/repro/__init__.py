@@ -32,7 +32,7 @@ import importlib
 
 from repro import obs
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "__version__",
@@ -59,9 +59,7 @@ __all__ = [
     # fleet
     "FleetBatch",
     "FleetEngine",
-    "FleetExecutor",
     "FleetReport",
-    "MultiProcessFleet",
     # gateway (the public service surface)
     "API_VERSION",
     "PricingService",
@@ -84,7 +82,7 @@ __all__ = [
 
 #: Public name -> the module that defines it. Resolved on first access
 #: (PEP 562), so ``import repro.gateway.server`` loads the serving path
-#: and not the figures, the astronomy substrate or the worker pool.
+#: and not the figures or the astronomy substrate.
 _LAZY = {
     **dict.fromkeys(
         ("SlotValues", "AdditiveBid", "SubstitutableBid", "RevisableBid"),
@@ -99,10 +97,8 @@ _LAZY = {
         "repro.core",
     ),
     **dict.fromkeys(
-        ("FleetBatch", "FleetEngine", "FleetExecutor", "FleetReport"),
-        "repro.fleet",
+        ("FleetBatch", "FleetEngine", "FleetReport"), "repro.fleet"
     ),
-    "MultiProcessFleet": "repro.fleet.mp",
     **dict.fromkeys(
         ("API_VERSION", "PricingService", "TenantSession"), "repro.gateway"
     ),

@@ -184,11 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument("--shards", type=int, default=8, help="fleet shard count")
     fleet.add_argument(
-        "--workers", type=int, default=0,
-        help="race a shared-nothing multi-process pool of this many workers "
-        "against the in-process engine (0/1 = classic services race)",
-    )
-    fleet.add_argument(
         "--repeats", type=int, default=2, help="timing repeats (best-of)"
     )
     fleet.add_argument("--seed", type=int, default=2012, help="master RNG seed")
@@ -367,33 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_fleet(args) -> int:
-    from repro.experiments import (
-        measure_fleet_mp_point,
-        measure_fleet_point,
-        measure_gateway_point,
-    )
+    from repro.experiments import measure_fleet_point, measure_gateway_point
 
-    if args.workers > 1:
-        print(
-            f"== fleet-mp: {args.games} games, {args.users} users, "
-            f"{args.slots} slots, {args.workers} workers "
-            f"(bit-identical outcomes asserted) =="
-        )
-        single_s, pool_s = measure_fleet_mp_point(
-            games=args.games,
-            users=args.users,
-            slots=args.slots,
-            max_duration=args.duration,
-            mean_cost=args.mean_cost,
-            shards=args.shards,
-            repeats=args.repeats,
-            seed=args.seed,
-            workers=args.workers,
-        )
-        print(f"single-process engine {single_s:>8.3f} s")
-        print(f"{f'{args.workers}-worker pool':<22}{pool_s:>8.3f} s")
-        print(f"speedup               {single_s / pool_s:>8.2f} x")
-        return 0
     if args.gateway:
         print(
             f"== gateway: {args.games} games, {args.users} users, "

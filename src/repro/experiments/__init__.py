@@ -37,7 +37,6 @@ from repro.experiments.fig5_selectivity import (
 )
 from repro.experiments.fleet_scale import (
     FleetScaleConfig,
-    measure_fleet_mp_point,
     measure_fleet_point,
     measure_gateway_point,
     run_fleet_scale,
@@ -68,7 +67,6 @@ __all__ = [
     "Fig5Config",
     "run_fig5_selectivity",
     "FleetScaleConfig",
-    "measure_fleet_mp_point",
     "measure_fleet_point",
     "measure_gateway_point",
     "run_fleet_scale",

@@ -33,7 +33,6 @@ __all__ = [
     "FleetScaleConfig",
     "run_fleet_scale",
     "measure_fleet_point",
-    "measure_fleet_mp_point",
     "measure_gateway_point",
 ]
 
@@ -121,67 +120,6 @@ def measure_fleet_point(
         services_s = min(services_s, run_services()[0])
         fleet_s = min(fleet_s, run_fleet()[0])
     return services_s, fleet_s
-
-
-def measure_fleet_mp_point(
-    games: int,
-    users: int,
-    slots: int,
-    max_duration: int = 4,
-    mean_cost: float = 30.0,
-    shards: int = 8,
-    repeats: int = 2,
-    seed: int = 2012,
-    workers: int = 2,
-) -> tuple[float, float]:
-    """Wall-clock seconds ``(single, pool)`` for one workload point.
-
-    Races the in-process :class:`~repro.fleet.engine.FleetEngine` against
-    the shared-nothing :class:`~repro.fleet.mp.MultiProcessFleet` on the
-    same drawn population. Both executors consume the identical columnar
-    batches; before any timing is trusted, their reports are asserted
-    bit-identical — payments, grants, implementations, per-game revenue,
-    the ledger and the event log. ``benchmarks/bench_fleet_mp.py`` turns
-    the ratio into the scaling-curve floor.
-    """
-    if workers < 2:
-        raise GameConfigError(
-            f"multi-process race needs workers >= 2, got {workers}"
-        )
-    costs = fleet_game_costs(seed, games, mean_cost)
-    batches = fleet_batches(seed + 1, users, games, slots, max_duration)
-    catalog = OptimizationCatalog.from_costs(costs)
-
-    def run_single():
-        started = time.perf_counter()
-        engine = FleetEngine.build(catalog, horizon=slots, shards=shards)
-        engine.ingest_many(batches)
-        report = engine.run_to_end()
-        return time.perf_counter() - started, report
-
-    def run_pool():
-        started = time.perf_counter()
-        fleet = FleetEngine.build(
-            catalog, horizon=slots, shards=shards, workers=workers
-        )
-        try:
-            fleet.ingest_many(batches)
-            report = fleet.run_to_end()
-        finally:
-            fleet.close()
-        return time.perf_counter() - started, report
-
-    single_s, single_report = run_single()
-    pool_s, pool_report = run_pool()
-    _assert_reports_equal(
-        single_report, pool_report, f"{workers}-worker pool"
-    )
-    del single_report, pool_report
-    gc.collect()
-    for _ in range(repeats - 1):
-        single_s = min(single_s, run_single()[0])
-        pool_s = min(pool_s, run_pool()[0])
-    return single_s, pool_s
 
 
 def measure_gateway_point(

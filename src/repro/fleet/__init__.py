@@ -16,7 +16,6 @@ the single-catalog service and the fleet share one mechanism path.
 """
 
 from repro.fleet.engine import FleetBatch, FleetEngine, FleetReport
-from repro.fleet.executor import FleetExecutor
 from repro.fleet.pipeline import (
     TenantWorkload,
     build_fleet,
@@ -29,9 +28,7 @@ from repro.fleet.shard import ShardMap
 __all__ = [
     "FleetBatch",
     "FleetEngine",
-    "FleetExecutor",
     "FleetReport",
-    "MultiProcessFleet",
     "ShardMap",
     "TenantWorkload",
     "workload_bid",
@@ -39,14 +36,3 @@ __all__ = [
     "build_fleet",
     "build_service",
 ]
-
-
-def __getattr__(name: str):
-    # MultiProcessFleet resolves lazily: repro.fleet.mp pulls in
-    # multiprocessing and the gateway codec, which a process that only
-    # runs the in-process engine (such as `repro serve`) never needs.
-    if name == "MultiProcessFleet":
-        from repro.fleet.mp import MultiProcessFleet
-
-        return MultiProcessFleet
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

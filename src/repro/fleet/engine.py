@@ -83,7 +83,6 @@ from repro.core.fastshapley import GATE_SLACK as _GATE_SLACK
 from repro.core.online import AddOnState
 from repro.core.outcome import OptId, UserId
 from repro.errors import GameConfigError, MechanismError, ProtocolError
-from repro.fleet.executor import FleetExecutor
 from repro.fleet.shard import ShardMap
 
 __all__ = ["FleetBatch", "FleetEngine", "FleetReport"]
@@ -177,7 +176,7 @@ class FleetReport:
         return self.game_revenue.get(optimization, 0.0)
 
 
-class FleetEngine(FleetExecutor):
+class FleetEngine:
     """See the module docstring.
 
     Parameters
@@ -189,41 +188,6 @@ class FleetEngine(FleetExecutor):
     shards:
         Shard count for the deterministic slot-processing order.
     """
-
-    @classmethod
-    def build(
-        cls,
-        catalog: OptimizationCatalog | Mapping,
-        horizon: int,
-        *,
-        shards: int | None = None,
-        workers: int = 0,
-    ) -> FleetExecutor:
-        """Pick the executor backend for a period (the public seam).
-
-        ``workers <= 1`` builds the in-process :class:`FleetEngine`;
-        anything larger builds a
-        :class:`~repro.fleet.mp.MultiProcessFleet` whose spawned workers
-        each own a disjoint set of catalog shards. ``shards`` defaults
-        to ``max(workers, 1)`` so every worker owns at least one shard;
-        pass it explicitly to pin the processing order — outcomes are
-        bit-identical across backends *and* worker counts for a fixed
-        shard count.
-        """
-        if not isinstance(catalog, OptimizationCatalog):
-            catalog = OptimizationCatalog.from_costs(dict(catalog))
-        workers = int(workers)
-        if workers < 0:
-            raise GameConfigError(f"workers must be >= 0, got {workers}")
-        if shards is None:
-            shards = max(workers, 1)
-        if workers <= 1:
-            return cls(catalog, horizon, shards=shards)
-        from repro.fleet.mp import MultiProcessFleet  # lazy: avoid cycle
-
-        return MultiProcessFleet(
-            catalog, horizon, shards=shards, workers=workers
-        )
 
     def __init__(
         self, catalog: OptimizationCatalog, horizon: int, shards: int = 1
@@ -283,22 +247,8 @@ class FleetEngine(FleetExecutor):
         self._gp = 0  # group pointer
         self._dp = 0  # departure pointer
         self._finalized = False
-        self._closed = False
-        # Per-slot grant/charge tap (the multi-process workers' delta
-        # extraction seam); None costs the slot loop one comparison.
-        self.slot_observer = None
 
     # ------------------------------------------------------------- intake --
-
-    def _ensure_usable(self) -> None:
-        if self._closed:
-            raise ProtocolError(
-                "the fleet executor is closed; open a new period instead"
-            )
-
-    def close(self) -> None:
-        """Retire the executor (idempotent); reports stay readable."""
-        self._closed = True
 
     @property
     def shards(self) -> ShardMap:
@@ -397,7 +347,6 @@ class FleetEngine(FleetExecutor):
         atomic multi-bid callers check everything first, then commit
         through here without paying the validation twice.
         """
-        self._ensure_usable()
         key = (user, rank)
         if not self._hot[rank] and self._profile[rank] is None:
             self._materialize_profile(rank)
@@ -415,7 +364,6 @@ class FleetEngine(FleetExecutor):
         self, user: UserId, optimization: OptId, new_values: Mapping[int, float]
     ) -> None:
         """Upward revision of a previously placed (per-bid) bid."""
-        self._ensure_usable()
         rank = self._rank_of.get(optimization)
         if rank is None:
             raise GameConfigError(f"no optimization {optimization!r} in catalog")
@@ -515,12 +463,9 @@ class FleetEngine(FleetExecutor):
         all-or-nothing property untrusted boundaries (the gateway's
         batched dispatch) build their own contract on.
 
-        Raises :class:`~repro.errors.ProtocolError` on a closed executor
-        or a malformed (non-rectangular) batch, and
-        :class:`~repro.errors.MechanismError` once the first slot closed
-        bulk intake.
+        Raises :class:`~repro.errors.MechanismError` once the first slot
+        closed bulk intake.
         """
-        self._ensure_usable()
         if self.slot > 0 or self._finalized:
             raise MechanismError(
                 "bulk ingestion is only allowed before the first slot"
@@ -718,9 +663,8 @@ class FleetEngine(FleetExecutor):
         """The bulk bids' departures as ``(slots, ranks, user indices)``
         lists: slot order, intake order within a slot.
 
-        Reads the intake columns without consuming them, so the
-        multi-process master can take its global departure order from a
-        mirror engine that never finalizes.
+        Reads the intake columns without consuming them; ``_finalize``
+        drops them afterwards.
         """
         slot_chunks, rank_chunks, user_chunks = [], [], []
         for d, (uidx, ranks, starts, _) in self._columns.items():
@@ -796,7 +740,6 @@ class FleetEngine(FleetExecutor):
             return self._advance_one_slot()
 
     def _advance_one_slot(self) -> int:
-        self._ensure_usable()
         if self.slot >= self.horizon:
             raise MechanismError(f"period is over after slot {self.horizon}")
         if not self._finalized:
@@ -1009,20 +952,14 @@ class FleetEngine(FleetExecutor):
         optimization = self._opt_ids[rank]
         granted = self._granted_at
         record = self.events.record
-        users = sorted(newly, key=_grant_order)
-        for user in users:
+        for user in sorted(newly, key=_grant_order):
             granted[(user, optimization)] = t
             record(UserGranted(t, user, optimization))
-        implemented_cost = None
         if state.implemented_at == t:
-            implemented_cost = cost = state.cost
+            cost = state.cost
             self._implemented[optimization] = t
             self.ledger.build_outlay(t, optimization, cost)
             record(OptimizationImplemented(t, optimization, cost))
-        if self.slot_observer is not None and (
-            users or implemented_cost is not None
-        ):
-            self.slot_observer.stepped(rank, users, implemented_cost)
 
     def _invoice_departures(self, t: int) -> None:
         departed: dict = {}
@@ -1045,8 +982,6 @@ class FleetEngine(FleetExecutor):
                     # owes exactly zero, no engine consultation needed.
                     payments[user] = payments.get(user, 0.0)
                     departed[user] = None
-                    if self.slot_observer is not None:
-                        self.slot_observer.charged(user, rank, 0.0)
             self._dp = dp
         for key in self._ends_at.pop(t, ()):
             user, rank = key
@@ -1065,8 +1000,6 @@ class FleetEngine(FleetExecutor):
             self.events.record(UserCharged(t, user, amount))
             self._game_revenue[rank] += amount
         departed[user] = None
-        if self.slot_observer is not None:
-            self.slot_observer.charged(user, rank, amount)
 
     def run_to_end(self) -> FleetReport:
         """Process every remaining slot and return the report."""

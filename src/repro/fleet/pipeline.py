@@ -187,16 +187,13 @@ def build_fleet(
     horizon: int,
     dollars_per_byte: float,
     shards: int = 1,
-    workers: int = 0,
-):
+) -> FleetEngine:
     """Assemble a fleet whose bids are workload-derived savings.
 
     Every (tenant, candidate) pair with a positive saving becomes one
-    additive bid in the candidate's game; run the returned executor to
+    additive bid in the candidate's game; run the returned engine to
     see which physical designs the tenants collectively fund, and at
-    what cost-shares. ``workers`` picks the executor backend
-    (:meth:`~repro.fleet.engine.FleetEngine.build`): 0/1 in-process,
-    more a shared-nothing multi-process pool with identical outcomes.
+    what cost-shares.
 
     Candidates are priced once up front
     (:meth:`~repro.db.savings.SavingsEstimator.price_many`), then the
@@ -208,9 +205,7 @@ def build_fleet(
     catalog = candidate_catalog(
         estimator, candidates, dollars_per_byte, quotes=quotes
     )
-    engine = FleetEngine.build(
-        catalog, horizon=horizon, shards=shards, workers=workers
-    )
+    engine = FleetEngine(catalog, horizon=horizon, shards=shards)
     for workload in workloads:
         if workload.end > horizon:
             raise GameConfigError(
@@ -233,7 +228,6 @@ def build_service(
     horizon: int,
     dollars_per_byte: float,
     shards: int = 1,
-    workers: int = 0,
 ):
     """:func:`build_fleet`, handed over behind the gateway facade.
 
@@ -247,13 +241,7 @@ def build_service(
     from repro.gateway.service import PricingService
 
     engine = build_fleet(
-        estimator,
-        workloads,
-        candidates,
-        horizon,
-        dollars_per_byte,
-        shards,
-        workers=workers,
+        estimator, workloads, candidates, horizon, dollars_per_byte, shards
     )
     return PricingService(
         db_catalog=estimator.catalog,

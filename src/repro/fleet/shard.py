@@ -71,29 +71,5 @@ class ShardMap:
             raise GameConfigError(f"shard {shard} outside [0, {self.shards})")
         return list(range(shard, self.n_games, self.shards))
 
-    def owner_of(self, rank: int, workers: int) -> int:
-        """Worker owning ``rank`` in a ``workers``-strong fleet.
-
-        Whole shards are dealt round-robin across workers (shard ``s`` to
-        worker ``s % workers``), so one worker always owns a disjoint set
-        of shards and the shard-major processing order is preserved
-        within every worker. Purely arithmetic: after a worker loss the
-        replacement recomputes the same mapping, so ranks never migrate
-        between ranks' owners across a respawn.
-        """
-        if workers < 1:
-            raise GameConfigError(f"worker count must be >= 1, got {workers}")
-        return self.shard_of(rank) % workers
-
-    def owned_ranks(self, worker: int, workers: int) -> list[int]:
-        """Ranks owned by one worker, in processing order."""
-        if not 0 <= worker < workers:
-            raise GameConfigError(f"worker {worker} outside [0, {workers})")
-        return [
-            rank
-            for shard in range(worker, self.shards, workers)
-            for rank in self.members(shard)
-        ]
-
     def __len__(self) -> int:
         return self.shards

@@ -29,10 +29,13 @@ Its retry policy is the part worth copying:
   read-only kinds (``RunQuery``, ``AdviseRequest``, ``LedgerQuery``,
   ``MetricsRequest``) —
   a mutating envelope may or may not have been committed, and the
-  caller, not this client, must decide. A **reused** keep-alive
-  connection that closes without a response is the idle-timeout race
-  (the server guarantees a response before closing any connection whose
-  request it processed), so that one retries freshly for every kind.
+  caller, not this client, must decide. On a **reused** keep-alive
+  connection, two failures are the idle-timeout race and retry freshly
+  for every kind: the send fails, or the peer closes or resets the
+  connection before any reply byte arrives (the server guarantees a
+  response before closing any connection whose request it processed).
+  Any other failure there — a timeout, a torn or malformed reply — is
+  handled as on a fresh connection.
 - Backoff is capped exponential with **full jitter** (decorrelates a
   thundering herd after a shed) and never waits less than the server's
   own ``retry_after`` hint.
@@ -90,6 +93,11 @@ _BACKOFF_SECONDS = obs.REGISTRY.counter(
 
 class GatewayUnavailable(ReproError):
     """Retries exhausted (or retrying would risk a duplicated effect)."""
+
+
+class _Unanswered(ConnectionError):
+    """The server cannot have processed the request: the send failed, or
+    the peer closed or reset the connection before any reply byte."""
 
 
 class GatewayClient:
@@ -160,7 +168,8 @@ class GatewayClient:
                 last_failure = f"connection refused: {exc}"
             except (OSError, GatewayUnavailable) as exc:
                 self._drop_connection()
-                if fresh and not read_only:
+                idle_closed = not fresh and isinstance(exc, _Unanswered)
+                if not (read_only or idle_closed):
                     raise GatewayUnavailable(
                         f"connection to {self.host}:{self.port} died "
                         f"mid-exchange on a mutating {kind} ({exc}); "
@@ -240,7 +249,10 @@ class GatewayClient:
     def _exchange(self, sock: socket.socket, message: bytes) -> bytes:
         """Send one request in one ``sendall`` and return its reply body;
         drops the connection afterwards when the reply says it will close."""
-        sock.sendall(message)
+        try:
+            sock.sendall(message)
+        except OSError as exc:
+            raise _Unanswered(f"send failed: {exc}") from exc
         body, keep_alive = _read_reply(sock)
         if not keep_alive:
             self._drop_connection()
@@ -259,18 +271,26 @@ class GatewayClient:
 def _read_reply(sock: socket.socket) -> tuple[bytes, bool]:
     """Read one reply: ``(body, whether the connection stays open)``.
 
-    A peer that closes before the reply is complete raises
-    :class:`ConnectionError`; a reply framed by anything but a valid
-    ``Content-Length`` raises :class:`GatewayUnavailable`.
+    A peer that closes or resets before the first reply byte raises
+    :class:`_Unanswered`, one that closes later :class:`ConnectionError`;
+    a reply framed by anything but a valid ``Content-Length`` raises
+    :class:`GatewayUnavailable`.
     """
     data = b""
     end = -1
     while end < 0:
         if len(data) > _MAX_HEAD:
             raise GatewayUnavailable(f"reply head exceeds {_MAX_HEAD} bytes")
-        chunk = sock.recv(_RECV_BYTES)
+        try:
+            chunk = sock.recv(_RECV_BYTES)
+        except ConnectionResetError as exc:
+            if data:
+                raise
+            raise _Unanswered(f"reset before the reply: {exc}") from exc
         if not chunk:
-            raise ConnectionError("connection closed before the reply head")
+            if not data:
+                raise _Unanswered("connection closed before the reply")
+            raise ConnectionError("connection closed mid reply head")
         start = max(len(data) - 3, 0)  # a terminator split across chunks
         data += chunk
         end = data.find(b"\r\n\r\n", start)

@@ -11,7 +11,7 @@ Wire shape
 ----------
 A serialized envelope is a flat JSON object::
 
-    {"api": "1.6", "kind": "SubmitBids", "tenant": "ann", "bids": [...]}
+    {"api": "1.7", "kind": "SubmitBids", "tenant": "ann", "bids": [...]}
 
 ``api`` is :data:`API_VERSION` (checked on decode; a mismatch raises
 :class:`~repro.errors.ProtocolError` with code ``"version"``), ``kind``
@@ -82,15 +82,17 @@ __all__ = [
 #: :class:`QueryReply` and :class:`AdviseReply`. 1.4 added the serving
 #: layer's load-shedding surface: the ``overloaded``/``deadline_exceeded``
 #: error codes and the ``retryable``/``retry_after`` fields on
-#: :class:`ErrorReply`. 1.5 added the executor seam: ``Configure.workers``
-#: picks the fleet backend (0/1 in-process, N > 1 a shared-nothing
-#: multi-process pool) and :class:`ConfigReply` echoes the worker count.
+#: :class:`ErrorReply`. 1.5 added the executor seam: a :class:`Configure`
+#: field picked the fleet backend (in-process or a shared-nothing
+#: multi-process pool) and :class:`ConfigReply` echoed the pool size.
 #: 1.6 added the observability surface — the :class:`MetricsRequest`/
 #: :class:`MetricsReply` pair reading the process-wide
 #: :mod:`repro.obs` registry — and removed the deprecated
 #: ``dispatch_many``/``dispatch_dict`` aliases API 1.5 had kept as
-#: warning shims.
-API_VERSION = "1.6"
+#: warning shims. 1.7 deleted the pool and its pool-size field from
+#: both envelopes: a :class:`Configure` that still carries it is refused
+#: as an unknown field, and the in-process engine is the only backend.
+API_VERSION = "1.7"
 
 #: Query kinds :class:`RunQuery` accepts (the astronomy workload surface).
 QUERY_KINDS = ("members", "histogram", "top", "chain", "contributors")
@@ -156,7 +158,6 @@ class Configure(Request):
     optimizations: tuple
     horizon: int
     shards: int = 1
-    workers: int = 0
 
     def _normalize(self) -> None:
         # Coercion doubles as wire-side type checking: a badly-typed
@@ -171,7 +172,6 @@ class Configure(Request):
         )
         object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "shards", int(self.shards))
-        object.__setattr__(self, "workers", int(self.workers))
 
 
 @dataclass(frozen=True)
@@ -326,13 +326,12 @@ class MetricsRequest(Request):
 
 @dataclass(frozen=True)
 class ConfigReply(Reply):
-    """The period is open: game count, horizon, and the executor shape
-    (``workers == 0`` means the in-process engine) echoed back."""
+    """The period is open: game count, horizon and shard count echoed
+    back."""
 
     games: int
     horizon: int
     shards: int
-    workers: int = 0
 
 
 @dataclass(frozen=True)

@@ -645,7 +645,6 @@ class GatewayServer:
             "status": "draining" if self._draining else "ok",
             "version": __version__,
             "uptime_s": round(uptime, 6),
-            "workers": getattr(self.service.fleet, "workers", 0),
             "pending": self._pending,
             "dispatched": self.dispatched,
             "shed": self.shed,

@@ -63,7 +63,6 @@ from repro.errors import (
 )
 from repro import obs
 from repro.fleet.engine import FleetBatch, FleetEngine, FleetReport
-from repro.fleet.executor import FleetExecutor
 from repro.gateway.envelopes import (
     QUERY_KINDS,
     AdvanceSlots,
@@ -215,10 +214,6 @@ class PricingService:
         Slots in the period (required with ``catalog``).
     shards:
         Fleet shard count for the deterministic processing order.
-    workers:
-        Executor backend selector (:meth:`FleetEngine.build`): 0 or 1
-        runs the period in-process, anything larger scatters it across a
-        shared-nothing multi-process pool with bit-identical outcomes.
     db_catalog:
         The relational catalog queries run against (fresh and empty when
         omitted).
@@ -241,10 +236,9 @@ class PricingService:
         cost_model: CostModel | None = None,
         engine_mode: str = "auto",
         advisor_config: AdvisorConfig | None = None,
-        fleet: FleetExecutor | None = None,
-        workers: int = 0,
+        fleet: FleetEngine | None = None,
     ) -> None:
-        self.fleet: FleetExecutor | None = None
+        self.fleet: FleetEngine | None = None
         self.db = db_catalog if db_catalog is not None else Catalog()
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.log = WorkloadLog()
@@ -282,7 +276,7 @@ class PricingService:
         elif catalog is not None:
             if horizon is None:
                 raise GameConfigError("opening a period needs a horizon")
-            self.configure(catalog, horizon, shards, workers=workers)
+            self.configure(catalog, horizon, shards)
 
     # ------------------------------------------------------------- period --
 
@@ -291,22 +285,15 @@ class PricingService:
         catalog: OptimizationCatalog | Mapping,
         horizon: int,
         shards: int = 1,
-        workers: int = 0,
-    ) -> FleetExecutor:
+    ) -> FleetEngine:
         """Open a (new) pricing period over ``catalog``.
 
         Reconfiguring replaces the fleet — the previous period's report
-        stays reachable only if the caller kept it. ``workers`` picks the
-        executor backend (:meth:`FleetEngine.build`); a replaced
-        multi-process fleet has its worker pool reclaimed.
+        stays reachable only if the caller kept it.
         """
         if not isinstance(catalog, OptimizationCatalog):
             catalog = OptimizationCatalog.from_costs(dict(catalog))
-        if self.fleet is not None and getattr(self.fleet, "workers", 0) > 0:
-            self.fleet.close()
-        self.fleet = FleetEngine.build(
-            catalog, horizon=horizon, shards=shards, workers=workers
-        )
+        self.fleet = FleetEngine(catalog, horizon=horizon, shards=shards)
         self._bulk_submitted = set()
         # A new period resets the logical fleet history: this Configure
         # plus the later fleet mutations fully determine engine state.
@@ -315,12 +302,11 @@ class PricingService:
                 optimizations=tuple((j, catalog.get(j).cost) for j in catalog),
                 horizon=horizon,
                 shards=shards,
-                workers=workers,
             )
         ]
         return self.fleet
 
-    def attach_fleet(self, fleet: FleetExecutor) -> FleetExecutor:
+    def attach_fleet(self, fleet: FleetEngine) -> FleetEngine:
         """Adopt an externally assembled engine as the current period.
 
         The duplicate guard is seeded with whatever bulk bids the engine
@@ -340,7 +326,7 @@ class PricingService:
         self._fleet_history = None
         return fleet
 
-    def _require_fleet(self) -> FleetExecutor:
+    def _require_fleet(self) -> FleetEngine:
         if self.fleet is None:
             raise GameConfigError(
                 "no pricing period is open; send a Configure request first"
@@ -552,14 +538,11 @@ class PricingService:
                         f"optimization {optimization!r} listed twice"
                     )
                 costs[optimization] = cost
-            fleet = self.configure(
-                costs, request.horizon, request.shards, request.workers
-            )
+            fleet = self.configure(costs, request.horizon, request.shards)
             return ConfigReply(
                 games=len(fleet.catalog),
                 horizon=fleet.horizon,
                 shards=len(fleet.shards),
-                workers=getattr(fleet, "workers", 0),
             )
         raise ProtocolError(
             f"{type(request).__name__} is not a dispatchable request"
@@ -776,15 +759,12 @@ class PricingService:
 
         Every further ``dispatch`` returns a ``protocol``-coded
         :class:`ErrorReply`; a closed durable service is recovered with
-        :meth:`PricingService.recover`, not reused. A multi-process
-        fleet's worker pool is reclaimed (reports stay readable).
+        :meth:`PricingService.recover`, not reused.
         """
         self._closed = True
         if self._wal is not None:
             self._wal.close()
             self._wal = None
-        if self.fleet is not None and getattr(self.fleet, "workers", 0) > 0:
-            self.fleet.close()
 
     def _probe(self, stage: str) -> None:
         if self.wal_probe is not None:

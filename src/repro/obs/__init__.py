@@ -2,19 +2,20 @@
 
 One process-wide :data:`REGISTRY` (plus a :data:`SPANS` recorder)
 instruments the serving stack end to end: the asyncio gateway server,
-the write-ahead log, ``PricingService.dispatch``, both fleet executors,
+the write-ahead log, ``PricingService.dispatch``, the fleet engine,
 and the blocking client. Three read paths expose the same state:
 
 - ``GET /v1/metrics`` — Prometheus text exposition
   (:func:`render_prometheus`);
-- the ``MetricsRequest``/``MetricsReply`` envelope pair (gateway API
-  1.6) carrying :meth:`MetricsRegistry.wire`'s exact-round-trip tuples;
+- the ``MetricsRequest``/``MetricsReply`` envelope pair (since gateway
+  API 1.6) carrying :meth:`MetricsRegistry.wire`'s exact-round-trip
+  tuples;
 - ``python -m repro stats`` — the CLI scrape.
 
 The conventions that keep this layer honest live in DESIGN.md ("Metrics
 conventions"): all timing through the injectable clock seam, label
 values only from bounded sets, and **no metrics on hot per-bid paths**
-— fleet instrumentation is per-slot/per-chunk granularity only, which
+— fleet instrumentation is per-slot granularity only, which
 is how ``benchmarks/bench_obs.py`` keeps the measured overhead of the
 enabled registry under 5%.
 """

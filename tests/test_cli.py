@@ -19,6 +19,7 @@ import pytest
 
 import repro
 from repro.cli import FIGURES, build_parser, main
+from repro.gateway.envelopes import API_VERSION
 
 
 class TestParser:
@@ -58,6 +59,9 @@ class TestParser:
             ["fleet", "--games", "3", "--users", "50", "--gateway"]
         )
         assert (args.games, args.users, args.gateway) == (3, 50, True)
+        # The in-process engine is the only executor: no pool to size.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fleet", "--workers", "2"])
 
     def test_advise_flags(self):
         args = build_parser().parse_args(
@@ -97,13 +101,13 @@ class TestParser:
 def test_serve_imports_stay_lean():
     # `repro serve` pays in memory for every module it imports, so the
     # serving path must not pull in the figures, the astronomy substrate,
-    # the worker pool, the client, or numpy's random generators.
+    # multiprocessing, the client, or numpy's random generators.
     src = Path(repro.__file__).resolve().parent.parent
     code = (
         "import sys\n"
         "import repro.cli, repro.gateway.server, repro.gateway.service\n"
-        "unwanted = ['repro.experiments', 'repro.astro', 'repro.fleet.mp',\n"
-        "            'repro.gateway.client', 'numpy.random', 'multiprocessing']\n"
+        "unwanted = ['repro.experiments', 'repro.astro', 'repro.gateway.client',\n"
+        "            'numpy.random', 'multiprocessing']\n"
         "print([name for name in unwanted if name in sys.modules])\n"
     )
     out = subprocess.run(
@@ -180,14 +184,14 @@ class TestExecution:
 
 class TestReplayCommand:
     TRACE = [
-        {"api": "1.6", "kind": "Configure",
+        {"api": API_VERSION, "kind": "Configure",
          "optimizations": [["idx", 40.0]], "horizon": 3, "shards": 1},
-        {"api": "1.6", "kind": "SubmitBids", "tenant": "ann",
+        {"api": API_VERSION, "kind": "SubmitBids", "tenant": "ann",
          "bids": [["idx", 1, [30.0, 15.0]]]},
-        {"api": "1.6", "kind": "SubmitBids", "tenant": "bob",
+        {"api": API_VERSION, "kind": "SubmitBids", "tenant": "bob",
          "bids": [["idx", 1, [20.0]]]},
-        {"api": "1.6", "kind": "AdvanceSlots", "slots": 3},
-        {"api": "1.6", "kind": "LedgerQuery", "tenant": "ann"},
+        {"api": API_VERSION, "kind": "AdvanceSlots", "slots": 3},
+        {"api": API_VERSION, "kind": "LedgerQuery", "tenant": "ann"},
     ]
 
     def _write(self, tmp_path, lines):
@@ -225,7 +229,7 @@ class TestReplayCommand:
 
     def test_strict_fails_on_errors(self, tmp_path, capsys):
         path = self._write(
-            tmp_path, self.TRACE + [{"api": "1.6", "kind": "Mystery"}]
+            tmp_path, self.TRACE + [{"api": API_VERSION, "kind": "Mystery"}]
         )
         assert main(["replay", str(path)]) == 0  # tolerant by default
         capsys.readouterr()
@@ -234,7 +238,7 @@ class TestReplayCommand:
 
     def test_replay_with_universe_queries(self, tmp_path, capsys):
         trace = [
-            {"api": "1.6", "kind": "RunQuery", "tenant": "ada",
+            {"api": API_VERSION, "kind": "RunQuery", "tenant": "ada",
              "query": "members", "table": "snap_02", "halo": 0},
         ]
         path = self._write(tmp_path, trace)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import AdditiveBid, GameConfigError, MechanismError
+from repro import AdditiveBid, GameConfigError, MechanismError, ProtocolError
 from repro.cloudsim import (
     CloudService,
     OptimizationCatalog,
@@ -341,6 +341,24 @@ class TestFleetApi:
         with pytest.raises(MechanismError):
             engine.ingest(batch())
 
+    def test_ragged_batch_values_are_protocol_errors(self):
+        with pytest.raises(ProtocolError):
+            FleetBatch(
+                users=("a", "b"),
+                opt_ranks=np.array([0, 1]),
+                starts=np.array([1, 1]),
+                values=[[1.0, 2.0], [3.0]],
+            )
+
+    def test_misaligned_batch_columns_are_config_errors(self):
+        with pytest.raises(GameConfigError):
+            FleetBatch(
+                users=("a", "b", "c"),
+                opt_ranks=np.array([0, 1]),
+                starts=np.array([1, 1]),
+                values=np.ones((2, 2)),
+            )
+
     def test_rank_round_trip(self):
         engine = FleetEngine(self.catalog(), horizon=5)
         assert [engine.rank_of(g) for g in engine.report().games] == [0, 1, 2]
@@ -429,6 +447,12 @@ class TestFleetApi:
         report = engine.run_to_end()
         assert report.implemented == {"g0": 2}
         assert report.payments[1] == pytest.approx(100.0)
+
+    def test_advance_by_zero_slots_is_config_error(self):
+        engine = FleetEngine(self.catalog(), horizon=3)
+        with pytest.raises(GameConfigError):
+            engine.advance_slots(0)
+        assert engine.slot == 0
 
     def test_period_end(self):
         engine = FleetEngine(self.catalog(), horizon=1)

@@ -124,6 +124,16 @@ class TestEnvelopeRoundTrips:
         with pytest.raises(ProtocolError):
             request_from_dict(wire)
 
+    def test_configure_carrying_a_pool_size_is_refused(self):
+        # A stale client asking for a pool is refused, not silently run
+        # in-process.
+        wire = to_dict(Configure(optimizations=(("idx", 40.0),), horizon=2))
+        wire["workers"] = 2
+        with pytest.raises(ProtocolError) as excinfo:
+            request_from_dict(wire)
+        assert excinfo.value.code == "protocol"
+        assert "workers" in str(excinfo.value)
+
 
 # ---------------------------------------------------------- value objects --
 
@@ -444,7 +454,7 @@ class TestGatewayPreservesFleetPath:
         # On the wire, JSON lists decode to (hashable) tuples; a JSON
         # object is the unhashable case and must come back as data.
         reply = service.dispatch_json(
-            {"api": "1.6", "kind": "LedgerQuery", "tenant": {"a": 1}}
+            {"api": API_VERSION, "kind": "LedgerQuery", "tenant": {"a": 1}}
         )
         assert reply["kind"] == "ErrorReply" and reply["code"] == "protocol"
 
@@ -467,11 +477,11 @@ class TestGatewayPreservesFleetPath:
     def test_badly_typed_wire_fields_become_error_replies(self):
         service = PricingService({"idx": 40.0}, horizon=3)
         for payload in (
-            {"api": "1.6", "kind": "AdvanceSlots", "slots": "three"},
-            {"api": "1.6", "kind": "Configure", "optimizations": [], "horizon": "x"},
-            {"api": "1.6", "kind": "RunQuery", "tenant": "t", "query": "members",
+            {"api": API_VERSION, "kind": "AdvanceSlots", "slots": "three"},
+            {"api": API_VERSION, "kind": "Configure", "optimizations": [], "horizon": "x"},
+            {"api": API_VERSION, "kind": "RunQuery", "tenant": "t", "query": "members",
              "halo": "zero"},
-            {"api": "1.6", "kind": "AdviseRequest", "horizon": [1]},
+            {"api": API_VERSION, "kind": "AdviseRequest", "horizon": [1]},
         ):
             reply = service.dispatch_json(payload)
             assert reply["kind"] == "ErrorReply" and reply["code"] == "protocol"
@@ -721,9 +731,9 @@ class TestTraces:
             "\n".join(
                 [
                     "this is not json",
-                    '{"api": "1.6", "kind": "Mystery"}',
+                    f'{{"api": "{API_VERSION}", "kind": "Mystery"}}',
                     '{"api": "9.9", "kind": "AdvanceSlots", "slots": 1}',
-                    '{"api": "1.6", "kind": "AdvanceSlots", "slots": 1}',
+                    f'{{"api": "{API_VERSION}", "kind": "AdvanceSlots", "slots": 1}}',
                 ]
             )
             + "\n"

@@ -12,6 +12,8 @@ import pytest
 from promparse import ExpositionError, parse_exposition
 
 from repro import obs
+from repro.cloudsim import OptimizationCatalog
+from repro.fleet import FleetEngine
 from repro.gateway import (
     AdvanceSlots,
     MetricsReply,
@@ -29,6 +31,7 @@ from repro.obs import (
     read_spans,
     render_prometheus,
 )
+from repro.workloads.fleet import fleet_batches, fleet_game_costs
 
 
 def ticker(step: float = 1.0, start: float = 0.0):
@@ -301,6 +304,15 @@ class TestPrometheusExposition:
             s.labels["kind"] for s in samples if s.name == "repro_dispatch_total"
         }
         assert {"SubmitBids", "AdvanceSlots"} <= kinds
+
+    def test_fleet_period_observes_the_slot_timer_once_per_slot(self):
+        slots = obs.REGISTRY.histogram("repro_fleet_slot_advance_seconds")
+        catalog = OptimizationCatalog.from_costs(fleet_game_costs(2012, 5, 30.0))
+        engine = FleetEngine(catalog, 6, shards=3)
+        engine.ingest_many(fleet_batches(13, 80, 5, 6, 3))
+        before = slots.count
+        engine.run_to_end()
+        assert slots.count == before + 6
 
 
 # ------------------------------------------------------------- determinism --

@@ -33,7 +33,9 @@ from crashpoints import fingerprint
 from netfaults import Stall, drive, serial_fingerprint, workload
 from repro.errors import GameConfigError
 from repro.gateway import (
+    API_VERSION,
     AdvanceSlots,
+    BidsReply,
     Configure,
     ErrorReply,
     LedgerQuery,
@@ -144,9 +146,7 @@ class TestEndpoints:
         assert health["batches"] == 1
         assert health["shed"] == 0
 
-    def test_healthz_carries_version_uptime_workers_and_wal_seq(
-        self, tmp_path
-    ):
+    def test_healthz_carries_version_uptime_and_wal_seq(self, tmp_path):
         import repro
 
         service = PricingService()
@@ -158,7 +158,6 @@ class TestEndpoints:
             health = client.health()
             assert health["version"] == repro.__version__
             assert health["uptime_s"] >= 0.0
-            assert health["workers"] == 0  # in-process engine, no pool
             assert health["wal_seq"] >= 1  # the Configure was logged
             assert health["epoch"] >= 0
             seq = health["wal_seq"]
@@ -259,7 +258,7 @@ class TestRawHttp:
     def test_kind_on_wrong_path_is_400(self, gateway):
         client, _service, _thread = gateway
         body = json.dumps(
-            {"api": "1.6", "kind": "AdvanceSlots", "slots": 1}
+            {"api": API_VERSION, "kind": "AdvanceSlots", "slots": 1}
         ).encode()
         status, payload = self._raw(
             client.host, client.port, "POST", "/v1/bids", body=body
@@ -271,7 +270,7 @@ class TestRawHttp:
     def test_malformed_deadline_header_is_400(self, gateway):
         client, _service, _thread = gateway
         body = json.dumps(
-            {"api": "1.6", "kind": "LedgerQuery", "tenant": "ann"}
+            {"api": API_VERSION, "kind": "LedgerQuery", "tenant": "ann"}
         ).encode()
         status, payload = self._raw(
             client.host,
@@ -312,7 +311,7 @@ class TestRawHttp:
         try:
             conn = http.client.HTTPConnection(host, port, timeout=10)
             body = json.dumps(
-                {"api": "1.6", "kind": "LedgerQuery", "tenant": "ann"}
+                {"api": API_VERSION, "kind": "LedgerQuery", "tenant": "ann"}
             ).encode()
             conn.request("POST", "/v1/ledger", body=body)
             response = conn.getresponse()
@@ -666,6 +665,8 @@ LEDGER = LedgerReply(tenant="ann", invoices=(), total=0.0, cloud_balance=0.0)
 LEDGER_BODY = json.dumps(to_dict(LEDGER)).encode()
 LEDGER_REPLY = http_reply(LEDGER_BODY)
 BID = SubmitBids(tenant="ann", bids=(("idx", 1, (30.0,)),))
+BID_ACK = BidsReply(tenant="ann", accepted=1, slot=0)
+BID_REPLY = http_reply(json.dumps(to_dict(BID_ACK)).encode())
 
 #: Replies the client must refuse as malformed, not misread.
 BAD_REPLIES = {
@@ -680,14 +681,20 @@ BAD_REPLIES = {
 }
 
 
+#: Scripted replies that send nothing: ``STALL`` holds the connection
+#: open until the client closes it, ``HANG_UP`` closes it at once.
+STALL = object()
+HANG_UP = object()
+
+
 class ScriptedServer:
     """A one-connection-at-a-time socket server that answers each request
     with the next scripted reply, and records every request head.
 
     A reply given as a list is sent one element per segment, with a
     short pause between them. A reply whose head says
-    ``Connection: close`` closes its connection, as does running out of
-    replies.
+    ``Connection: close`` closes its connection, as do ``STALL``,
+    ``HANG_UP`` and running out of replies.
     """
 
     def __init__(self, replies):
@@ -739,6 +746,12 @@ class ScriptedServer:
             buffer = buffer[length:]
             self.heads.append(head)
             reply = self.replies.pop(0)
+            if reply is STALL:
+                while conn.recv(65536):
+                    pass
+                return
+            if reply is HANG_UP:
+                return
             if isinstance(reply, list):
                 for piece in reply:
                     conn.sendall(piece)
@@ -764,9 +777,10 @@ def scripted():
         server.close()
 
 
-def quick_client(server, **knobs) -> GatewayClient:
+def quick_client(server, *, timeout=5.0, **knobs) -> GatewayClient:
     return GatewayClient(
-        server.host, server.port, timeout=5.0, sleep=lambda _s: None, **knobs
+        server.host, server.port, timeout=timeout, sleep=lambda _s: None,
+        **knobs,
     )
 
 
@@ -840,6 +854,36 @@ class TestClientTransport:
         with quick_client(server) as client:
             assert client.request(LedgerQuery(tenant="ann")) == LEDGER
         assert len(server.heads) == 2
+
+    def test_stalled_reply_on_a_reused_mutating_exchange_raises(self, scripted):
+        # The third reply would answer a resend: it must never be asked for.
+        server = scripted(BID_REPLY, STALL, BID_REPLY)
+        with quick_client(server, timeout=0.2) as client:
+            assert client.request(BID) == BID_ACK
+            with pytest.raises(GatewayUnavailable, match="may or may not"):
+                client.request(BID)
+        assert len(server.heads) == 2
+
+    @pytest.mark.parametrize("bad", sorted(BAD_REPLIES))
+    def test_malformed_reply_on_a_reused_mutating_exchange_raises(
+        self, scripted, bad
+    ):
+        server = scripted(BID_REPLY, BAD_REPLIES[bad], BID_REPLY)
+        with quick_client(server) as client:
+            assert client.request(BID) == BID_ACK
+            with pytest.raises(GatewayUnavailable, match="may or may not"):
+                client.request(BID)
+        assert len(server.heads) == 2
+
+    def test_reused_connection_closed_before_any_reply_is_resent(self, scripted):
+        # The idle-close race: the server answers every request it
+        # processed, so a hang-up with no reply byte is safe to resend.
+        server = scripted(BID_REPLY, HANG_UP, BID_REPLY)
+        with quick_client(server) as client:
+            assert client.request(BID) == BID_ACK
+            assert client.request(BID) == BID_ACK
+        assert len(server.heads) == 3
+        assert server.connections == 2
 
     def test_malformed_replies_exhaust_into_gateway_unavailable(self, scripted):
         server = scripted(*[BAD_REPLIES["not_json"]] * 3)

@@ -40,6 +40,7 @@ from repro.db.table import Table
 from repro.errors import GameConfigError, RecoveryError
 from repro.gateway import codec
 from repro.gateway.envelopes import (
+    API_VERSION,
     AdvanceSlots,
     AdviseRequest,
     Configure,
@@ -164,6 +165,8 @@ def _assert_recover_equals_serial(steps, crash_at, checkpoint_every):
         tail = run_steps(recovered, continuation(steps, done))
         assert tail == ref_replies[len(ref_replies) - len(tail) :]
         assert fingerprint(recovered) == ref_fp
+        recovered.close()
+        dut.close()
 
 
 # ------------------------------------------------- the central property --
@@ -214,6 +217,7 @@ def test_every_crash_point_of_one_workload_recovers():
         dut.attach_wal(Path(tmp), checkpoint_every=2)
         dut.wal_probe = clean
         run_steps(dut, steps)
+        dut.close()
     assert len(clean.fired) > 10  # the grid is real
     for crash_at in range(len(clean.fired)):
         _assert_recover_equals_serial(steps, crash_at, checkpoint_every=2)
@@ -242,6 +246,7 @@ def _crash_bulk(crash_at):
     dut.wal_probe = probe = CrashPoint(crash_at)
     with pytest.raises(SimulatedCrash):
         run_steps(dut, steps)
+    dut.close()  # a crashed process's files close with it
     return directory, probe
 
 
@@ -256,6 +261,7 @@ def test_bulk_crash_before_append_loses_the_whole_run():
     baseline = _service()
     run_steps(baseline, [Configure(optimizations=OPTS, horizon=3)])
     assert fingerprint(recovered) == fingerprint(baseline)
+    recovered.close()
 
 
 def test_bulk_crash_after_append_replays_the_whole_run():
@@ -269,6 +275,7 @@ def test_bulk_crash_after_append_replays_the_whole_run():
     reference = _service()
     run_steps(reference, _bulk_workload())
     assert fingerprint(recovered) == fingerprint(reference)
+    recovered.close()
 
 
 # --------------------------------------------------------- corruption fuzz --
@@ -306,6 +313,7 @@ def test_truncated_tail_recovers_to_the_last_valid_prefix():
     lines = list(iter_jsonl(wal))
     assert all(line.error is None for line in lines)
     assert all(line.complete for line in lines)
+    recovered.close()
 
 
 def test_flipped_byte_mid_file_is_a_recovery_error():
@@ -386,6 +394,7 @@ def test_corrupt_latest_checkpoint_falls_back_to_an_older_one():
     newest.write_bytes(newest.read_bytes()[:-40])  # wreck it
     recovered = PricingService.recover(directory)
     assert fingerprint(recovered) == fingerprint(reference)
+    recovered.close()
 
 
 def test_checkpoint_in_the_json_dump_layout_still_loads(tmp_path):
@@ -450,6 +459,7 @@ def test_attach_wal_twice_is_a_config_error():
         service.attach_wal(tmp)
         with pytest.raises(GameConfigError, match="already attached"):
             service.attach_wal(tmp)
+        service.close()
 
 
 def test_checkpoint_without_a_wal_is_a_config_error():
@@ -469,6 +479,7 @@ def test_durable_service_refuses_an_externally_attached_fleet():
         )
         with pytest.raises(GameConfigError, match="durable"):
             service.attach_fleet(fleet)
+        service.close()
 
 
 def test_run_to_end_is_logged_and_recoverable():
@@ -488,6 +499,7 @@ def test_run_to_end_is_logged_and_recoverable():
         recovered = PricingService.recover(tmp)
         assert recovered.fleet.slot == 3
         assert fingerprint(recovered) == fingerprint(service)
+        recovered.close()
 
 
 # ------------------------------------------------------ shared JSONL reader --
@@ -497,9 +509,8 @@ def test_binary_junk_in_a_trace_is_an_error_marker_not_a_crash(tmp_path):
     # Before the shared reader, raw non-UTF-8 bytes surfaced as a bare
     # UnicodeDecodeError out of iter_trace.
     path = tmp_path / "trace.jsonl"
-    path.write_bytes(
-        b'\x80\x81\xfe\n{"api": "1.6", "kind": "LedgerQuery", "tenant": "ann"}\n'
-    )
+    line = {"api": API_VERSION, "kind": "LedgerQuery", "tenant": "ann"}
+    path.write_bytes(b"\x80\x81\xfe\n" + json.dumps(line).encode() + b"\n")
     payloads = list(iter_trace(path))
     assert payloads[0]["kind"] == "<unparseable>"
     assert "UTF-8" in payloads[0]["error"]

@@ -32,7 +32,7 @@ import importlib
 
 from repro import obs
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "__version__",

@@ -26,6 +26,10 @@ class RevisableBid:
     begins, since that would make its earliest slots retroactive).
     """
 
+    # One object per handle (no history list until the first revision):
+    # the fleet keeps a handle per placed bid.
+    __slots__ = ("_declared_at", "_initial", "_revisions")
+
     def __init__(self, initial: AdditiveBid, declared_at: int | None = None) -> None:
         declared_at = initial.start if declared_at is None else declared_at
         if declared_at > initial.start:
@@ -35,17 +39,20 @@ class RevisableBid:
             )
         if declared_at < 1:
             raise RevisionError(f"declaration slot must be >= 1, got {declared_at}")
-        self._history: list[tuple[int, AdditiveBid]] = [(declared_at, initial)]
+        self._declared_at = declared_at
+        self._initial = initial
+        self._revisions: list[tuple[int, AdditiveBid]] | None = None
 
     @property
     def current(self) -> AdditiveBid:
         """The latest effective bid."""
-        return self._history[-1][1]
+        revisions = self._revisions
+        return revisions[-1][1] if revisions else self._initial
 
     @property
     def declared_at(self) -> int:
         """Slot at which the initial bid was placed."""
-        return self._history[0][0]
+        return self._declared_at
 
     def revise(self, at_slot: int, new_values: Mapping[int, float]) -> AdditiveBid:
         """Apply a revision at slot ``at_slot``; returns the new effective bid.
@@ -55,7 +62,9 @@ class RevisableBid:
         value must be ``>=`` the current value (upward-only). Slots beyond
         the current ``end`` extend the interval, so ``e_i`` can only grow.
         """
-        last_slot, current = self._history[-1]
+        revisions = self._revisions
+        last_slot = revisions[-1][0] if revisions else self._declared_at
+        current = self.current
         if at_slot < last_slot:
             raise RevisionError(
                 f"revision at slot {at_slot} precedes last revision at {last_slot}"
@@ -78,7 +87,9 @@ class RevisableBid:
             for t in range(current.start, new_end + 1)
         }
         revised = AdditiveBid(SlotValues.from_mapping({current.start: merged[current.start], **merged}))
-        self._history.append((at_slot, revised))
+        if revisions is None:
+            revisions = self._revisions = []
+        revisions.append((at_slot, revised))
         return revised
 
     def as_of(self, t: int) -> AdditiveBid:
@@ -93,8 +104,8 @@ class RevisableBid:
             raise RevisionError(
                 f"bid was not declared until slot {self.declared_at}"
             )
-        effective = self._history[0][1]
-        for slot, bid in self._history[1:]:
+        effective = self._initial
+        for slot, bid in self._revisions or ():
             if slot <= t:
                 effective = bid
         return effective

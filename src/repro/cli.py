@@ -387,7 +387,7 @@ def _run_fleet(args) -> int:
         f"== fleet: {args.games} games, {args.users} users, "
         f"{args.slots} slots (identical outcomes asserted) =="
     )
-    services_s, fleet_s = measure_fleet_point(
+    point = measure_fleet_point(
         games=args.games,
         users=args.users,
         slots=args.slots,
@@ -397,9 +397,9 @@ def _run_fleet(args) -> int:
         repeats=args.repeats,
         seed=args.seed,
     )
-    print(f"independent services  {services_s:>8.3f} s")
-    print(f"fleet engine          {fleet_s:>8.3f} s")
-    print(f"speedup               {services_s / fleet_s:>8.2f} x")
+    print(f"independent services  {point.services_s:>8.3f} s")
+    print(f"fleet engine          {point.fleet_s:>8.3f} s")
+    print(f"speedup               {point.speedup:>8.2f} x")
     return 0
 
 

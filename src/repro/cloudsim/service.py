@@ -15,8 +15,8 @@ The ``gateway`` property fronts the same engine with a
 methods below are retained for handle-based revision (envelopes carry
 no :class:`~repro.bids.revision.RevisableBid` handles) and drive the
 engine directly — new code should prefer the gateway surface. Bids
-are residual-scheduled at placement into per-slot buckets, and a slot is
-one batched pass over the bids whose residuals actually changed, stepped
+become rows of the engine's columnar store, and a slot is one batched
+pass over the bids whose residuals actually changed, stepped
 through the incremental engine's gated
 :meth:`~repro.core.online.AddOnState.apply_changes` path. Substitutable
 mode drives :class:`~repro.core.online.SubstOnState` directly with

@@ -30,6 +30,7 @@ from repro.workloads.fleet import (
 )
 
 __all__ = [
+    "FleetPoint",
     "FleetScaleConfig",
     "run_fleet_scale",
     "measure_fleet_point",
@@ -59,6 +60,29 @@ class FleetScaleConfig:
             raise GameConfigError(f"repeats must be >= 1, got {self.repeats}")
 
 
+@dataclass(frozen=True)
+class FleetPoint:
+    """Best-of-repeats wall-clock seconds for one workload point.
+
+    ``fleet_s`` is the bulk-fed fleet end to end (intake plus period); the
+    ``bulk_*``/``per_bid_*`` pairs split intake from ``run_to_end`` for the
+    fleet fed in bulk and fed one ``place_bid`` per arrival.
+    """
+
+    bids: int
+    services_s: float
+    fleet_s: float
+    bulk_intake_s: float
+    bulk_run_s: float
+    per_bid_intake_s: float
+    per_bid_run_s: float
+
+    @property
+    def speedup(self) -> float:
+        """Independent services over the bulk-fed fleet."""
+        return self.services_s / self.fleet_s
+
+
 def measure_fleet_point(
     games: int,
     users: int,
@@ -68,14 +92,16 @@ def measure_fleet_point(
     shards: int = 8,
     repeats: int = 2,
     seed: int = 2012,
-) -> tuple[float, float]:
-    """Wall-clock seconds ``(services, fleet)`` for one workload point.
+) -> FleetPoint:
+    """Time independent services against the fleet, fed both ways.
 
-    Both sides run the *same* drawn population — the object-form trace and
+    Every side runs the *same* drawn population — the object-form trace and
     the columnar batches are generated with identical RNG consumption, so
-    their bids are bit-identical. Before any timing is trusted, the two
-    reports are checked for identical payments, grants, and implementation
-    slots; best-of-``repeats`` timings absorb scheduler noise.
+    their bids are bit-identical. Before any timing is trusted, the
+    services and the bulk-fed fleet are checked for identical payments,
+    grants, and implementation slots, and the fleet fed one ``place_bid``
+    per arrival for identical payments, grants, implementation slots and
+    per-game revenue; best-of-``repeats`` timings absorb scheduler noise.
     """
     costs = fleet_game_costs(seed, games, mean_cost)
     trace = fleet_arrival_trace(seed + 1, users, games, slots, max_duration)
@@ -99,27 +125,48 @@ def measure_fleet_point(
             reports[game] = service.run_to_end()
         return time.perf_counter() - started, reports
 
-    def run_fleet():
+    def run_fleet(per_bid: bool):
         started = time.perf_counter()
         engine = FleetEngine(catalog, horizon=slots, shards=shards)
-        for batch in batches:
-            engine.ingest(batch)
+        if per_bid:
+            for arrival in trace:
+                engine.place_bid(arrival.user, arrival.optimization, arrival.bid)
+        else:
+            for batch in batches:
+                engine.ingest(batch)
+        fed = time.perf_counter()
         report = engine.run_to_end()
-        return time.perf_counter() - started, report
+        return (fed - started, time.perf_counter() - fed), report
 
     services_s, service_reports = run_services()
-    fleet_s, fleet_report = run_fleet()
+    bulk, fleet_report = run_fleet(per_bid=False)
+    per_bid, per_bid_report = run_fleet(per_bid=True)
     _assert_identical(service_reports, fleet_report)
+    for field in ("payments", "granted_at", "implemented", "game_revenue"):
+        if dict(getattr(per_bid_report, field)) != dict(
+            getattr(fleet_report, field)
+        ):
+            raise AssertionError(f"place_bid-fed fleet {field} diverge from bulk")
     # Drop the parity artifacts (hundreds of thousands of event/ledger
     # objects) before the clean timing repeats: a heap full of survivors
     # turns every generational GC pass into a full scan, taxing whichever
     # side happens to run under it.
-    del service_reports, fleet_report
+    del service_reports, fleet_report, per_bid_report
     gc.collect()
+    bulk_runs, per_bid_runs = [bulk], [per_bid]
     for _ in range(repeats - 1):
         services_s = min(services_s, run_services()[0])
-        fleet_s = min(fleet_s, run_fleet()[0])
-    return services_s, fleet_s
+        bulk_runs.append(run_fleet(per_bid=False)[0])
+        per_bid_runs.append(run_fleet(per_bid=True)[0])
+    return FleetPoint(
+        bids=len(trace),
+        services_s=services_s,
+        fleet_s=min(intake + run for intake, run in bulk_runs),
+        bulk_intake_s=min(intake for intake, _ in bulk_runs),
+        bulk_run_s=min(run for _, run in bulk_runs),
+        per_bid_intake_s=min(intake for intake, _ in per_bid_runs),
+        per_bid_run_s=min(run for _, run in per_bid_runs),
+    )
 
 
 def measure_gateway_point(
@@ -287,7 +334,7 @@ def run_fleet_scale(config: FleetScaleConfig = FleetScaleConfig()) -> Experiment
     fleet_y = []
     speedup_y = []
     for games in xs:
-        services_s, fleet_s = measure_fleet_point(
+        point = measure_fleet_point(
             games=games,
             users=games * config.users_per_game,
             slots=config.slots,
@@ -297,9 +344,9 @@ def run_fleet_scale(config: FleetScaleConfig = FleetScaleConfig()) -> Experiment
             repeats=config.repeats,
             seed=config.seed,
         )
-        services_y.append(services_s)
-        fleet_y.append(fleet_s)
-        speedup_y.append(services_s / fleet_s)
+        services_y.append(point.services_s)
+        fleet_y.append(point.fleet_s)
+        speedup_y.append(point.speedup)
     return ExperimentResult(
         experiment="fleet_scale",
         x_label="concurrent games (x%d users each)" % config.users_per_game,

@@ -7,60 +7,61 @@ full Python slot-advance per game per slot — active-set bookkeeping,
 residual recomputation, a mechanism step — the fleet makes one pass over
 the whole fleet's arrivals and departures per slot:
 
-* **Precomputed residual schedule.** A bid's per-slot residuals are fixed
-  at placement (revisions rewrite only future slots), so the engine
-  schedules them once instead of re-deriving them from an active set every
-  slot. Bulk-ingested bids live in columnar arrays — one lexsorted
-  ``(slot, shard-order)`` schedule shared by the whole fleet — and a slot
-  is consumed by advancing a pointer, not by scanning per-game state.
+* **One columnar bid store.** Every bid is one row of growable
+  per-duration columns (user, game, start, values), whether it arrived
+  through bulk intake (:meth:`FleetEngine.ingest_many`), one
+  :meth:`FleetEngine.place_bid`, or a :meth:`FleetEngine.revise_bid` —
+  a revision appends a row that supersedes the bid's current one from
+  the next slot on. A bid's per-slot residuals are fixed by its row, so
+  the engine schedules them once instead of re-deriving them from an
+  active set every slot.
+* **Blocks.** The rows added since the last finalization form one
+  block, finalized in numpy into a schedule of its own when the slot the
+  earliest of them starts at is advanced: entries lexsorted by ``(slot,
+  shard order)``, consumed by advancing a pointer, not by scanning
+  per-game state. A slot walks every live block; a game present in
+  several merges their changes in row order, so a superseding row always
+  wins. Finished blocks are dropped, and beyond a few live blocks the
+  newest is merged into its predecessor when their sizes are within a
+  factor of two, so bids placed across the period leave a logarithmic
+  number of blocks to walk.
 * **Lazy games.** A game's sorted mechanism engine is not materialized
   until its bids could conceivably cover its cost. The proof is the same
   sound feasibility gate as
   :meth:`~repro.core.fastshapley.IncrementalShapley.settled` (a serviced
   set of size ``k`` needs bids summing to ``>= cost`` minus tolerances),
-  tracked as an O(1) running total. For bulk bids even that tracking is
-  precomputed: finalization reduces the schedule to per-``(slot, game)``
-  group deltas with numpy, so a provably-idle group costs three scalar
-  operations in the slot loop — amortized O(changed *groups*), not
-  entries, across the entire fleet.
+  evaluated when a block is finalized, at its groups, over the gate
+  profile every live block keeps per game: each game gets a **flush
+  slot**, and its groups before it never reach the slot loop — a
+  never-funded game costs the loop nothing but its departures.
 * **Batched dispatch.** Groups of games that might move are stepped
   through :meth:`repro.core.online.AddOnState.apply_changes`, the
   allocation-free batch entry point over the fused
   :meth:`~repro.core.fastshapley.IncrementalShapley.apply_and_solve`.
-* **Array-backed shared state.** The schedule, its group index, the
-  per-group deltas, and per-game revenue are flat parallel arrays; the
-  ledger and event log are shared by every game.
+* **Array-backed shared state.** The schedules, their group indexes, the
+  per-group gate deltas, and per-game revenue are flat parallel arrays;
+  the ledger and event log are shared by every game.
 
 Determinism is contractual (see DESIGN.md "Fleet conventions"): within a
 slot, games step in shard-major order (:class:`~repro.fleet.shard.ShardMap`),
 same-slot grants of one game are emitted in a fixed (type name, string)
-user order, and departures are invoiced in placement order, so a fixed
+user order, and departures are invoiced in row order, so a fixed
 trace replays to an identical event log regardless of how its changes
 were discovered.
 
-Each game lives in one of three states, only ever moving forward:
-
-``vector-cold``
-    Bulk schedule only; accounted by precomputed group deltas.
-``dict-cold``
-    Touched by :meth:`FleetEngine.place_bid` (the revisable per-bid path,
-    which ``CloudService`` additive mode wraps): the current profile is an
-    explicit dict, still gated without a mechanism engine.
-``hot``
-    The feasibility gate failed once: the profile is flushed into the
-    game's :class:`~repro.core.online.AddOnState` and every later change
-    is applied incrementally.
-
-The per-bid entry points replicate ``CloudService``'s historical additive
-semantics exactly; :meth:`FleetEngine.ingest` trusts its generator (one
-bid per (user, optimization), no revisions) in exchange for vectorized
-intake.
+A game is *cold* until its flush slot, then *hot*: at the flush its
+profile is rebuilt from every block and handed to the game's
+:class:`~repro.core.online.AddOnState` in one step, and every later change
+is applied incrementally.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
+from itertools import count
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -82,7 +83,7 @@ from repro.cloudsim.ledger import BillingLedger
 from repro.core.fastshapley import GATE_SLACK as _GATE_SLACK
 from repro.core.online import AddOnState
 from repro.core.outcome import OptId, UserId
-from repro.errors import GameConfigError, MechanismError, ProtocolError
+from repro.errors import BidError, GameConfigError, MechanismError, ProtocolError
 from repro.fleet.shard import ShardMap
 
 __all__ = ["FleetBatch", "FleetEngine", "FleetReport"]
@@ -94,6 +95,12 @@ _SLOT_SECONDS = obs.REGISTRY.histogram(
     "repro_fleet_slot_advance_seconds",
     "Wall time of one FleetEngine slot advance.",
 )
+
+#: Flush slot of a game whose bids never might cover its cost.
+_NEVER = int(np.iinfo(np.int64).max)
+
+#: Live blocks kept before the newest is merged into its predecessor.
+_MAX_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -176,6 +183,63 @@ class FleetReport:
         return self.game_revenue.get(optimization, 0.0)
 
 
+class _Block:
+    """One finalized block of rows: its schedule, gate profile and walk.
+
+    ``rows``/``vals`` are its schedule entries (row index, residual) in
+    walk order — ``(slot, shard order, row)``. Runs of equal
+    ``(slot, rank)`` form groups: group ``g`` spans entries
+    ``gbound[g]:gbound[g + 1]``. ``by_rank`` lists the groups in
+    ``(rank, slot)`` order, ``offsets`` cutting it per game; ``gkey``
+    holds their ``rank * span + slot`` keys, and ``gtot``/``gpos`` the
+    feasibility-gate profile there: the game's residual total and
+    positive-bid count over this block's rows. ``walk`` holds the groups
+    the slot loop visits (games at or after their flush slot) as
+    ``(slot, rank, lo, hi)`` lists consumed through ``gp``; ``deps`` the
+    departures as ``(slot, rank, row)`` lists consumed through ``dp``.
+    ``last`` is the block's last entry slot.
+    """
+
+    def prefix(self, keys: np.ndarray, span: int) -> tuple:
+        """Gate profile ``(total, positive count)`` of this block's rows
+        at each ``rank * span + slot`` key."""
+        at = np.searchsorted(self.gkey, keys, side="right") - 1
+        hit = (at >= 0) & (self.gkey[at] // span == keys // span)
+        return np.where(hit, self.gtot[at], 0.0), np.where(hit, self.gpos[at], 0)
+
+    def tail(self, g: int) -> tuple:
+        """``(slot, rank, row, residual)`` of the entries of groups ``g``
+        on, in walk order."""
+        sizes = np.diff(self.gbound[g:])
+        lo = self.gbound[g]
+        return (
+            np.repeat(self.gslot[g:], sizes),
+            np.repeat(self.grank[g:], sizes),
+            self.rows[lo:],
+            self.vals[lo:],
+        )
+
+    def rewalk(self, t: int, flush: np.ndarray) -> None:
+        """Rebuild the walk lists from slot ``t`` on under ``flush``."""
+        gslot = self.gslot
+        lo = int(np.searchsorted(gslot, t))
+        live = lo + np.flatnonzero(gslot[lo:] >= flush[self.grank[lo:]])
+        self.walk = (
+            gslot[live].tolist(),
+            self.grank[live].tolist(),
+            self.gbound[live].tolist(),
+            self.gbound[live + 1].tolist(),
+        )
+        self.gp = 0
+
+    def next_slot(self) -> int:
+        """Earliest slot this block has a walk group or a departure at."""
+        wslot = self.walk[0]
+        dslot = self.deps[0]
+        walk = wslot[self.gp] if self.gp < len(wslot) else _NEVER
+        return min(walk, dslot[self.dp] if self.dp < len(dslot) else _NEVER)
+
+
 class FleetEngine:
     """See the module docstring.
 
@@ -210,43 +274,40 @@ class FleetEngine:
         self._rank_of: dict = {j: r for r, j in enumerate(self._opt_ids)}
         self._shards = ShardMap(len(self._opt_ids), shards)
         self._proc_rank = self._shards.process_rank
+        self._proc = np.asarray(self._proc_rank, dtype=np.int64)
         self._states = [AddOnState(catalog.get(j).cost) for j in self._opt_ids]
-        self._costs = [catalog.get(j).cost for j in self._opt_ids]
+        self._cost_of = np.array([catalog.get(j).cost for j in self._opt_ids])
+        # Group key ``rank * span + slot``: slots run 1 .. horizon + 1.
+        self._span = horizon + 2
+        # Event details and invoice memos, one shared string per game.
+        self._details = [f"opt={j!r}" for j in self._opt_ids]
         n_games = len(self._opt_ids)
-        # Per-game lifecycle (module docstring): hot flag, dict-cold
-        # profile (None while vector-cold), and the cold gate accumulators.
+        # Per game: hot flag and flush slot (module docstring).
         self._hot = [False] * n_games
-        self._profile: list = [None] * n_games
-        self._ctotal = [0.0] * n_games
-        self._cnpos = [0] * n_games
+        self._flush = np.full(n_games, _NEVER, dtype=np.int64)
         self._payments: dict[UserId, float] = {}
         self._granted_at: dict[tuple, int] = {}
         self._implemented: dict[OptId, int] = {}
         self._game_revenue = np.zeros(n_games)
-        # Per-bid (revisable) path: handles plus per-slot residual buckets.
-        self._handles: dict[tuple, RevisableBid] = {}
-        self._pending: dict[int, dict[int, dict]] = {}
-        self._ends_at: dict[int, list] = {}
-        # Bulk (columnar) path: until the first slot finalizes them into
-        # the flat schedule, its group index, and departures, ingested bids
-        # sit in one set of growable columns per bid duration: duration ->
-        # (user index, rank, start, row-major values). Every bid row gets
-        # the next dense user index, so indices ascend in intake order;
-        # ``_users`` maps them back to ids at event time.
+        # The bid store. Every row gets the next dense index; ``_users``
+        # and ``_ranks`` map it back to its (user, game) pair. Rows wait
+        # in one set of growable columns per duration — (row, rank, start,
+        # row-major values) — until the slot the earliest of them starts
+        # at finalizes them into a block (``_open_start``: that slot);
+        # ``_blocks`` keeps the finalized blocks (finished ones are
+        # dropped when the next block arrives), ``_next`` the earliest
+        # slot any of them acts at.
         self._users: list = []
+        # A list, not an ``array``: grown by one row per served request,
+        # an array took the server about two page faults per request.
+        self._ranks: list = []
         self._columns: dict[int, tuple] = {}
-        self._bulk_taken: set | None = None  # lazy (user, rank) intake guard
-        self._entries: tuple | None = None  # (user, val) in (slot, shard) order
-        self._groups: tuple | None = None  # flush/hot groups only, as lists
-        self._by_rank: tuple | None = None  # (slot, user, val, offsets) by rank
-        self._deps: tuple | None = None
-        # Bulk entries of games converted to dict-cold by a handle bid: the
-        # walk skips their (pre-filtered) groups, so undelivered entries
-        # stream in from here instead: rank -> [slots, users, vals, ptr, n].
-        self._late: dict[int, list] = {}
-        self._gp = 0  # group pointer
-        self._dp = 0  # departure pointer
-        self._finalized = False
+        self._open_start = _NEVER
+        self._blocks: list[_Block] = []
+        self._next = _NEVER
+        self._taken: list | None = None  # per game: user -> current row
+        self._handles: dict[int, RevisableBid] = {}  # current row -> handle
+        self._revised = False  # rows are superseded only by revisions
 
     # ------------------------------------------------------------- intake --
 
@@ -254,20 +315,6 @@ class FleetEngine:
     def shards(self) -> ShardMap:
         """The fleet's shard map (processing-order contract)."""
         return self._shards
-
-    @property
-    def bulk_intake_open(self) -> bool:
-        """True while :meth:`ingest` is still allowed (no slot processed)."""
-        return self.slot == 0 and not self._finalized
-
-    def bulk_keys(self) -> set:
-        """``(user, rank)`` pairs taken by bulk intake so far.
-
-        The live guard set (treat as read-only); untrusted boundaries
-        copy it to seed their own duplicate checks over the trusting
-        bulk path.
-        """
-        return self._bulk_keys()
 
     def rank_of(self, optimization: OptId) -> int:
         """Catalog rank of one optimization (bulk batches address by rank)."""
@@ -282,26 +329,21 @@ class FleetEngine:
         read-only); bulk callers hoist its ``.get`` out of hot loops."""
         return self._rank_of
 
-    def _bulk_keys(self) -> set:
-        """(user, rank) pairs taken by bulk bids, built on first demand.
+    def _guard(self) -> list:
+        """Per game, ``user -> current row`` over every bid, built on demand.
 
-        Only the per-bid path ever needs it (its duplicate guard must also
-        cover bulk intake — one handle bid on top of a bulk bid would
-        double-schedule and double-invoice the user), so pure-bulk fleets
-        never pay for the set.
+        The duplicate guard of every entry point: one bid per (user,
+        game), revised in place, never placed twice. Trusted bulk intake
+        never builds it, so pure-bulk fleets never pay for it; once
+        built, every append keeps it whole. Keyed per game, so a bid
+        holds no key object of its own.
         """
-        if self._bulk_taken is None:
-            taken = set()
-            names = self._users
-            for uidx, ranks, _, _ in self._columns.values():
-                for index, rank in zip(uidx, ranks):
-                    taken.add((names[index], rank))
-            if self._deps is not None:
-                _, dep_ranks, dep_users = self._deps
-                for uidx, rank in zip(dep_users, dep_ranks):
-                    taken.add((names[uidx], rank))
-            self._bulk_taken = taken
-        return self._bulk_taken
+        if self._taken is None:
+            taken: list = [{} for _ in self._opt_ids]
+            for row, (user, rank) in enumerate(zip(self._users, self._ranks)):
+                taken[rank][user] = row
+            self._taken = taken
+        return self._taken
 
     def check_bid(
         self, user: UserId, optimization: OptId, bid: AdditiveBid
@@ -315,19 +357,21 @@ class FleetEngine:
         rank = self._rank_of.get(optimization)
         if rank is None:
             raise GameConfigError(f"no optimization {optimization!r} in catalog")
-        key = (user, rank)
-        if key in self._handles or key in self._bulk_keys():
+        if user in self._guard()[rank]:
             raise GameConfigError(
                 f"user {user!r} already bid on {optimization!r}; revise instead"
             )
-        if bid.start <= self.slot:
+        schedule = bid.schedule
+        if schedule.start <= self.slot:
             raise GameConfigError(
-                f"bid for slots from {bid.start} is retroactive at slot {self.slot}"
+                f"bid for slots from {schedule.start} is retroactive at slot "
+                f"{self.slot}"
             )
-        if bid.end > self.horizon:
+        if schedule.end > self.horizon:
             raise GameConfigError(
-                f"bid ends at {bid.end}, beyond the horizon {self.horizon}"
+                f"bid ends at {schedule.end}, beyond the horizon {self.horizon}"
             )
+        _require_finite(schedule.values)
         return rank
 
     def place_bid(
@@ -340,170 +384,150 @@ class FleetEngine:
     def place_checked(
         self, user: UserId, rank: int, optimization: OptId, bid: AdditiveBid
     ) -> RevisableBid:
-        """The mutation half of :meth:`place_bid`.
+        """The mutation half of :meth:`place_bid`: one row append.
 
         The caller must have run :meth:`check_bid` against the *current*
         engine state (no intervening placements or slot advances) —
         atomic multi-bid callers check everything first, then commit
         through here without paying the validation twice.
         """
-        key = (user, rank)
-        if not self._hot[rank] and self._profile[rank] is None:
-            self._materialize_profile(rank)
         handle = RevisableBid(bid, declared_at=self.slot + 1)
-        self._handles[key] = handle
-        self._schedule_residuals(user, rank, bid, bid.start)
-        self._ends_at.setdefault(bid.end, []).append(key)
-        self.events.record(
-            BidPlaced(self.slot + 1, user, detail=f"opt={optimization!r}")
-        )
+        schedule = bid.schedule
+        row = self._append(user, rank, schedule.start, schedule.values)
+        self._guard()[rank][user] = row
+        self._handles[row] = handle
+        self.events.record(BidPlaced(self.slot + 1, user, self._details[rank]))
         self.epoch += 1
         return handle
 
     def revise_bid(
         self, user: UserId, optimization: OptId, new_values: Mapping[int, float]
     ) -> None:
-        """Upward revision of a previously placed (per-bid) bid."""
+        """Upward revision of a bid placed through :meth:`place_bid`.
+
+        Appends a row that supersedes the bid's current row from the next
+        slot on; bulk-ingested bids cannot be revised.
+        """
         rank = self._rank_of.get(optimization)
         if rank is None:
             raise GameConfigError(f"no optimization {optimization!r} in catalog")
-        key = (user, rank)
-        handle = self._handles.get(key)
+        game = self._guard()[rank]
+        row = game.get(user)
+        handle = self._handles.get(row)  # bulk rows have none
         if handle is None:
             raise GameConfigError(
                 f"user {user!r} has no bid on {optimization!r} to revise"
             )
         if any(slot > self.horizon for slot in new_values):
             raise GameConfigError("revision extends beyond the horizon")
-        old_end = handle.current.end
-        handle.revise(self.slot + 1, new_values)
-        revised = handle.current
-        if revised.end != old_end:
-            # The departure moved: re-index the invoice slot.
-            departures = self._ends_at.get(old_end, [])
-            if key in departures:
-                departures.remove(key)
-            self._ends_at.setdefault(revised.end, []).append(key)
-        # Future residuals changed; overwrite the scheduled entries.
-        self._schedule_residuals(user, rank, revised, self.slot + 1)
-        self.events.record(
-            BidRevised(self.slot + 1, user, detail=f"opt={optimization!r}")
-        )
+        _require_finite(new_values.values())
+        revised = handle.revise(self.slot + 1, new_values)
+        start = max(self.slot + 1, revised.start)
+        values = revised.schedule.values[start - revised.start :]
+        superseding = self._append(user, rank, start, values)
+        self._revised = True
+        game[user] = superseding
+        self._handles[superseding] = self._handles.pop(row)
+        self.events.record(BidRevised(self.slot + 1, user, self._details[rank]))
         self.epoch += 1
 
-    def _schedule_residuals(
-        self, user: UserId, rank: int, bid: AdditiveBid, from_slot: int
-    ) -> None:
-        # Residuals change on every slot the bid covers, plus one trailing
-        # zero right after the departure (if still inside the horizon). A
-        # bid enters its game at its start slot, never earlier — even when
-        # a revision is placed before the interval begins.
-        pending = self._pending
-        last = min(bid.end + 1, self.horizon)
-        for t in range(max(from_slot, bid.start), last + 1):
-            bucket = pending.get(t)
-            if bucket is None:
-                bucket = pending[t] = {}
-            game = bucket.get(rank)
-            if game is None:
-                game = bucket[rank] = {}
-            game[user] = bid.residual(t)
+    def _append(self, user: UserId, rank: int, start: int, values) -> int:
+        """Append one bid row to the open block; returns its row index."""
+        row = len(self._users)
+        self._users.append(user)
+        self._ranks.append(rank)
+        rows, ranks, starts, vals = self._column(len(values))
+        rows.append(row)
+        ranks.append(rank)
+        starts.append(start)
+        vals.extend(values)
+        if start < self._open_start:
+            self._open_start = start
+        return row
 
-    def _materialize_profile(self, rank: int) -> None:
-        """Vector-cold -> dict-cold: build the game's explicit profile.
-
-        Replays the game's bulk entries up to the current slot (last value
-        per user wins — the same floats the slot loop would have stored),
-        seeds the gate accumulators with an exact recount, and registers
-        the undelivered tail for per-slot late delivery.
-        """
-        profile: dict = {}
-        if self._by_rank is not None:
-            slots, users, vals, offsets = self._by_rank
-            lo, hi = offsets[rank], offsets[rank + 1]
-            slot_list = slots[lo:hi].tolist()
-            user_list = users[lo:hi].tolist()
-            val_list = vals[lo:hi].tolist()
-            names = self._users
-            current = self.slot
-            i = 0
-            n = hi - lo
-            while i < n and slot_list[i] <= current:
-                profile[names[user_list[i]]] = val_list[i]
-                i += 1
-            if i < n:
-                self._late[rank] = [slot_list, user_list, val_list, i, n]
-        self._profile[rank] = profile
-        total = 0.0
-        n_pos = 0
-        for value in profile.values():
-            if value > 0.0:
-                total += value
-                n_pos += 1
-        self._ctotal[rank] = total
-        self._cnpos[rank] = n_pos
+    def _column(self, duration: int) -> tuple:
+        """The open block's ``(row, rank, start, values)`` columns for one
+        bid duration."""
+        group = self._columns.get(duration)
+        if group is None:
+            group = self._columns[duration] = (
+                array("q"), array("q"), array("q"), array("d")
+            )
+        return group
 
     def ingest(self, batch: FleetBatch) -> int:
         """Bulk-load one columnar batch of bids; returns the bid count.
 
-        Only allowed before the first slot is processed. The bulk path
-        trusts its generator: one bid per (user, optimization), no later
-        revision (use :meth:`place_bid` for revisable bids). Validation is
-        vectorized and happens entirely before any state changes (one
-        batch either lands whole or not at all); per-bid ``BidPlaced``
-        events are still recorded so the event log stays complete.
+        See :meth:`ingest_many`.
         """
         return self.ingest_many((batch,))
 
-    def ingest_many(self, batches) -> int:
+    def ingest_many(self, batches, *, checked: bool = False) -> int:
         """Atomically bulk-load several batches; returns the bid count.
 
+        Bids may arrive at any slot, each starting after the current one;
+        they cannot be revised later (use :meth:`place_bid` for that).
         Every batch is validated before *any* batch is committed, so a
         bad batch in the middle cannot leave earlier ones scheduled — the
         all-or-nothing property untrusted boundaries (the gateway's
-        batched dispatch) build their own contract on.
+        batched dispatch) build their own contract on. Per-bid
+        ``BidPlaced`` events are still recorded so the event log stays
+        complete.
 
-        Raises :class:`~repro.errors.MechanismError` once the first slot
-        closed bulk intake.
+        Bulk intake trusts its generator for one bid per (user,
+        optimization) until the engine tracks taken pairs — after any
+        per-bid call, or once ``checked=True`` asks for it, as untrusted
+        callers do. From then on a pair already bid, before or within
+        these batches, fails the whole call.
         """
-        if self.slot > 0 or self._finalized:
-            raise MechanismError(
-                "bulk ingestion is only allowed before the first slot"
-            )
-        checked = [
-            (batch, self._validate_batch(batch))
-            for batch in batches
-            if len(batch) > 0
-        ]
+        validated = []
+        for batch in batches:
+            if len(batch) > 0:
+                ranks, starts, first = self._validate_batch(batch)
+                validated.append((batch, ranks, ranks.tolist(), starts, first))
+        taken = self._guard() if checked else self._taken
+        if taken is not None:
+            fresh: set = set()
+            for batch, _, rank_list, _, _ in validated:
+                for user, rank in zip(batch.users, rank_list):
+                    if user in taken[rank] or (user, rank) in fresh:
+                        raise GameConfigError(
+                            f"user {user!r} already bid on "
+                            f"{self._opt_ids[rank]!r}; revise instead"
+                        )
+                    fresh.add((user, rank))
         total = 0
-        columns = self._columns
-        for batch, (ranks, starts) in checked:
+        placed = self.slot + 1
+        for batch, ranks, rank_list, starts, first in validated:
             base = len(self._users)
             self._users.extend(batch.users)
+            self._ranks.extend(rank_list)
             n, duration = batch.values.shape
-            group = columns.get(duration)
-            if group is None:
-                group = columns[duration] = (
-                    array("q"), array("q"), array("q"), array("d")
-                )
+            group = self._column(duration)
             group[0].extend(range(base, base + n))
             group[1].frombytes(ranks.tobytes())
             group[2].frombytes(starts.tobytes())
             group[3].frombytes(batch.values.tobytes())
-            self.events.record_many([BidPlaced(1, user) for user in batch.users])
+            self._open_start = min(self._open_start, first)
+            self.events.record_many([BidPlaced(placed, user) for user in batch.users])
+            if taken is not None:
+                for row, user, rank in zip(count(base), batch.users, rank_list):
+                    taken[rank][user] = row
             total += n
-        if checked:
-            self._bulk_taken = None  # new bulk bids: rebuild guard on demand
         self.epoch += total
         return total
 
     def _validate_batch(self, batch: FleetBatch):
-        """All of one batch's intake checks, mutation-free."""
+        """All of one batch's intake checks, mutation-free; returns its
+        ranks, its starts and the earliest start."""
         starts = np.asarray(batch.starts, dtype=np.int64)
         ranks = np.asarray(batch.opt_ranks, dtype=np.int64)
         values = batch.values
-        if starts.min() < 1:
-            raise GameConfigError("bulk bids must start at slot >= 1")
+        first = int(starts.min())
+        if first <= self.slot:
+            raise GameConfigError(
+                f"bulk bids from slot {first} are retroactive at slot {self.slot}"
+            )
         ends = starts + values.shape[1] - 1
         if ends.max() > self.horizon:
             raise GameConfigError(
@@ -514,215 +538,200 @@ class FleetEngine:
             raise GameConfigError("bulk bids address games outside the catalog")
         if not np.isfinite(values).all() or values.min() < 0:
             raise GameConfigError("bulk bid values must be finite and >= 0")
-        if self._handles:
-            # The symmetric duplicate guard: a bulk bid landing on a
-            # (user, game) pair already taken by a handle bid would
-            # double-schedule and double-invoice, exactly like the
-            # reverse order place_bid rejects.
-            handles = self._handles
-            for user, rank in zip(batch.users, ranks.tolist()):
-                if (user, rank) in handles:
-                    raise GameConfigError(
-                        f"user {user!r} already bid on "
-                        f"{self._opt_ids[rank]!r}; revise instead"
-                    )
-        return ranks, starts
+        return ranks, starts, first
 
-    def _finalize(self) -> None:
-        """Flatten the intake columns into the array-backed schedule.
+    # ------------------------------------------------------- finalization --
 
-        Entries are first put back in intake order (ascending user index)
-        so every tie below breaks exactly as in the order bids arrived.
-        Produces, entirely in numpy:
+    def _finalize(self, t: int) -> None:
+        """Finalize the open rows into a block; every one starts at ``t``
+        or later.
 
-        * per-entry ``(slot, rank, user, residual)`` lexsorted by
-          ``(slot, shard order)`` — residuals are left-to-right suffix
-          sums, bit-identical to ``AdditiveBid.residual``;
-        * a group index over runs of equal ``(slot, rank)``, each with its
-          gate deltas (sum of residual changes, net positive-bid count);
-        * per game, its **flush slot**: the first slot at which the game's
-          running bid total could cover its cost (the sound feasibility
-          gate of :meth:`~repro.core.fastshapley.IncrementalShapley.settled`,
-          evaluated for every group at once by segmented cumulative sums).
-          Groups strictly before a game's flush slot provably leave its
-          outcome untouched, so they are dropped from the slot walk
-          entirely — a never-funded game costs the Python loop *nothing*;
-        * the same entries re-sorted by ``(rank, slot)`` for profile
-          materialization, and the departure schedule.
+        New bids only ever move a cold game's flush slot earlier, and only
+        to a slot where they have a group, so the gate is checked there,
+        over every live block; a flush that moves re-walks the older
+        blocks holding the now-needed groups. Blocks whose every entry
+        lies behind are dropped. Past ``_MAX_BLOCKS`` live blocks, the
+        newest is merged into its predecessor while that one is at most
+        twice its size, so live blocks stay few and each entry is merged
+        a logarithmic number of times.
         """
-        self._finalized = True
-        if not self._columns:
-            return
-        slot_chunks, rank_chunks, val_chunks, user_chunks = [], [], [], []
-        dtot_chunks, dpos_chunks = [], []
-        for d, (uidx, batch_ranks, batch_starts, values) in self._columns.items():
-            uidx = np.frombuffer(uidx, dtype=np.int64)
-            batch_ranks = np.frombuffer(batch_ranks, dtype=np.int64)
-            batch_starts = np.frombuffer(batch_starts, dtype=np.int64)
+        new = self._build_block()
+        keys = new.gkey[~np.asarray(self._hot, dtype=bool)[new.gkey // self._span]]
+        blocks = [b for b in self._blocks if b.last >= t]
+        blocks.append(new)
+        while len(blocks) > _MAX_BLOCKS:
+            older, newer = blocks[-2:]
+            if len(older.rows) > 2 * len(newer.rows):
+                break
+            blocks[-2:] = [self._merge(older, newer, t)]
+        self._blocks = blocks
+        moved = self._lower_flush(keys) if len(keys) else None
+        if moved is not None:
+            for older in blocks[:-1]:
+                if moved[older.grank[np.searchsorted(older.gslot, t) :]].any():
+                    older.rewalk(t, self._flush)
+        blocks[-1].rewalk(t, self._flush)
+        self._next = min([b.next_slot() for b in blocks])
+
+    def _build_block(self) -> _Block:
+        """Flatten the open columns into one block, entirely in numpy.
+
+        Entries are first put back in row order (ascending row index) so
+        every tie below breaks exactly as in the order bids arrived.
+        Residuals are left-to-right suffix sums, bit-identical to
+        ``AdditiveBid.residual``; the gate profile is the per-game running
+        sum of the residual changes (total) and positive-bid counts.
+        """
+        slot_chunks, rank_chunks, val_chunks, row_chunks = [], [], [], []
+        dep_chunks = []
+        for d, (rows, ranks, starts, values) in self._columns.items():
+            rows = np.frombuffer(rows, dtype=np.int64)
+            ranks = np.frombuffer(ranks, dtype=np.int64)
+            starts = np.frombuffer(starts, dtype=np.int64)
             values = np.frombuffer(values).reshape(-1, d)
-            n = len(uidx)
             # Left-to-right suffix sums, vectorized across bids: column
-            # order matches ``AdditiveBid.residual`` add-for-add, so the
-            # scheduled floats are bit-identical to the per-bid path.
-            residuals = np.empty((n, d + 1))
-            residuals[:, d] = 0.0
+            # order matches ``AdditiveBid.residual`` add-for-add.
+            residuals = np.zeros((len(rows), d + 1))
             for i in range(d):
                 acc = values[:, i].copy()
                 for k in range(i + 1, d):
                     acc = acc + values[:, k]
                 residuals[:, i] = acc
-            # Gate deltas per entry: the profile's previous value for a
-            # contiguous schedule is simply the previous residual.
-            positive = residuals > 0.0
-            dtotal = np.empty_like(residuals)
-            dtotal[:, 0] = residuals[:, 0]
-            dtotal[:, 1:] = residuals[:, 1:] - residuals[:, :-1]
-            dnpos = positive.astype(np.int64)
-            dnpos[:, 1:] -= positive[:, :-1]
-            slots = batch_starts[:, None] + np.arange(d + 1)[None, :]
-            keep = (slots <= self.horizon).ravel()
-            slot_chunks.append(slots.ravel()[keep])
-            rank_chunks.append(np.repeat(batch_ranks, d + 1)[keep])
-            val_chunks.append(residuals.ravel()[keep])
-            user_chunks.append(np.repeat(uidx, d + 1)[keep])
-            dtot_chunks.append(dtotal.ravel()[keep])
-            dpos_chunks.append(dnpos.ravel()[keep])
-        columns = [
+            slot_chunks.append((starts[:, None] + np.arange(d + 1)).ravel())
+            rank_chunks.append(np.repeat(ranks, d + 1))
+            val_chunks.append(residuals.ravel())
+            row_chunks.append(np.repeat(rows, d + 1))
+            dep_chunks.append((starts + (d - 1), ranks, rows))
+        slots, ranks, vals, rows = (
             np.concatenate(chunks)
-            for chunks in (
-                slot_chunks,
-                rank_chunks,
-                val_chunks,
-                user_chunks,
-                dtot_chunks,
-                dpos_chunks,
-            )
-        ]
+            for chunks in (slot_chunks, rank_chunks, val_chunks, row_chunks)
+        )
+        # Gate deltas per entry: a bid's entries are contiguous, and each
+        # steps its profile contribution from the previous residual (none
+        # before its first entry) to this one.
+        first = np.empty(len(rows), dtype=bool)
+        first[0] = True
+        first[1:] = rows[1:] != rows[:-1]
+        positive = vals > 0.0
+        dtotal = vals - np.where(first, 0.0, np.roll(vals, 1))
+        dnpos = positive.astype(np.int64) - (np.roll(positive, 1) & ~first)
+        columns = [slots, ranks, vals, rows, dtotal, dnpos]
+        if slots.max() > self.horizon:
+            # The zero residual after a bid ending at the horizon.
+            keep = slots <= self.horizon
+            columns = [column[keep] for column in columns]
         runs = [group[0] for group in self._columns.values()]
         if any(a[-1] > b[0] for a, b in zip(runs, runs[1:])):
-            # Durations arrived interleaved: back to intake order. User
+            # Durations arrived interleaved: back to row order. Row
             # indices already ascend within each duration's columns, so
             # this stable sort only merges sorted runs (and keeps each
             # bid's entries in slot order).
             intake = np.argsort(columns[3], kind="stable")
             columns = [column[intake] for column in columns]
-        slots, ranks, vals, users, dtotal, dnpos = columns
-        proc = np.asarray(self._proc_rank, dtype=np.int64)
-        n_games = len(self._opt_ids)
-
-        # Single combined-key stable argsorts beat two-pass lexsorts here.
-        order = np.argsort(slots * n_games + proc[ranks], kind="stable")
-        slots_s, ranks_s = slots[order], ranks[order]
-        if len(slots_s):
-            # Group boundaries: runs of equal (slot, rank) in slot order.
-            boundary = np.empty(len(slots_s), dtype=bool)
-            boundary[0] = True
-            boundary[1:] = (slots_s[1:] != slots_s[:-1]) | (
-                ranks_s[1:] != ranks_s[:-1]
-            )
-            g_start = np.flatnonzero(boundary)
-            g_end = np.append(g_start[1:], len(slots_s))
-            g_slot = slots_s[g_start]
-            g_rank = ranks_s[g_start]
-            g_dtot = np.add.reduceat(dtotal[order], g_start)
-            g_dpos = np.add.reduceat(dnpos[order], g_start)
-            flush_slot = self._flush_slots(g_slot, g_rank, g_dtot, g_dpos)
-            live = g_slot >= flush_slot[g_rank]
-            self._entries = (users[order], vals[order])
-            self._groups = (
-                g_slot[live].tolist(),
-                g_rank[live].tolist(),
-                g_start[live].tolist(),
-                g_end[live].tolist(),
-            )
-        by_rank = np.argsort(
-            ranks * np.int64(self.horizon + 2) + slots, kind="stable"
-        )
-        offsets = np.searchsorted(
-            ranks[by_rank], np.arange(n_games + 1)
-        ).tolist()
-        self._by_rank = (slots[by_rank], users[by_rank], vals[by_rank], offsets)
-        # Games already dict-cold (handle bids placed before the first
-        # slot): their groups never reach the walk, so stream everything
-        # through the late-delivery path.
-        for rank, profile in enumerate(self._profile):
-            if profile is not None and rank not in self._late:
-                lo, hi = offsets[rank], offsets[rank + 1]
-                if lo < hi:
-                    self._late[rank] = [
-                        self._by_rank[0][lo:hi].tolist(),
-                        self._by_rank[1][lo:hi].tolist(),
-                        self._by_rank[2][lo:hi].tolist(),
-                        0,
-                        hi - lo,
-                    ]
-        self._deps = self._departure_schedule()
+        slots, ranks, vals, rows, dtotal, dnpos = columns
         self._columns = {}
-
-    def _departure_schedule(self) -> tuple:
-        """The bulk bids' departures as ``(slots, ranks, user indices)``
-        lists: slot order, intake order within a slot.
-
-        Reads the intake columns without consuming them; ``_finalize``
-        drops them afterwards.
-        """
-        slot_chunks, rank_chunks, user_chunks = [], [], []
-        for d, (uidx, ranks, starts, _) in self._columns.items():
-            slot_chunks.append(np.frombuffer(starts, dtype=np.int64) + (d - 1))
-            rank_chunks.append(np.frombuffer(ranks, dtype=np.int64))
-            user_chunks.append(np.frombuffer(uidx, dtype=np.int64))
-        if not slot_chunks:
-            return (), (), ()
-        slots = np.concatenate(slot_chunks)
-        users = np.concatenate(user_chunks)
-        order = np.lexsort((users, slots))
-        return (
-            slots[order].tolist(),
-            np.concatenate(rank_chunks)[order].tolist(),
-            users[order].tolist(),
-        )
-
-    def _flush_slots(self, g_slot, g_rank, g_dtot, g_dpos):
-        """First slot per game at which its bids might cover its cost.
-
-        Segmented cumulative sums of the group gate deltas, in (rank, slot)
-        order, give every game's running total and positive-bid count at
-        every one of its groups; the first group passing the feasibility
-        check is the game's flush slot (``maxint`` when none ever does).
-        Like every use of the gate this only needs to be *sound* — cumsum
-        float drift is absorbed by the gate's slack.
-        """
-        n_groups = len(g_slot)
-        order = np.argsort(
-            g_rank * np.int64(self.horizon + 2) + g_slot, kind="stable"
-        )
-        r_sorted = g_rank[order]
-        first = np.empty(n_groups, dtype=bool)
+        self._open_start = _NEVER
+        deps = (np.concatenate(chunks) for chunks in zip(*dep_chunks))
+        block, order, g_start = self._layout(slots, ranks, rows, vals, deps)
+        ranks = block.gkey // self._span
+        first = np.empty(len(ranks), dtype=bool)
         first[0] = True
-        first[1:] = r_sorted[1:] != r_sorted[:-1]
-        idx_first = np.flatnonzero(first)
-        seg_id = np.cumsum(first) - 1
-        cum_t = np.cumsum(g_dtot[order])
-        cum_p = np.cumsum(g_dpos[order])
-        base_t = np.where(idx_first > 0, cum_t[idx_first - 1], 0.0)[seg_id]
-        base_p = np.where(idx_first > 0, cum_p[idx_first - 1], 0)[seg_id]
-        total = cum_t - base_t
-        n_pos = cum_p - base_p
-        costs = np.asarray(self._costs)[r_sorted]
+        first[1:] = ranks[1:] != ranks[:-1]
+        block.gtot, block.gpos = (
+            _running(np.add.reduceat(deltas[order], g_start)[block.by_rank], first)
+            for deltas in (dtotal, dnpos)
+        )
+        return block
+
+    def _layout(self, slots, ranks, rows, vals, deps) -> tuple:
+        """A block of the entries and departures given in row order.
+
+        Also returns the walk-order permutation of the entries and the
+        group starts within it. Entries are lexsorted by ``(slot, shard
+        order)``, groups indexed per game, and departures put in slot
+        order, row order within a slot.
+        """
+        n_games = len(self._opt_ids)
+        # Single combined-key stable argsorts beat two-pass lexsorts here.
+        order = np.argsort(slots * n_games + self._proc[ranks], kind="stable")
+        slots_s, ranks_s = slots[order], ranks[order]
+        # Group boundaries: runs of equal (slot, rank) in slot order.
+        boundary = np.empty(len(slots_s), dtype=bool)
+        boundary[0] = True
+        boundary[1:] = (slots_s[1:] != slots_s[:-1]) | (ranks_s[1:] != ranks_s[:-1])
+        g_start = np.flatnonzero(boundary)
+        block = _Block()
+        block.rows = rows[order]
+        block.vals = vals[order]
+        block.gslot = slots_s[g_start]
+        block.grank = ranks_s[g_start]
+        block.gbound = np.append(g_start, len(slots_s))
+        keys = block.grank * self._span + block.gslot
+        block.by_rank = np.argsort(keys, kind="stable")
+        block.gkey = keys[block.by_rank]
+        block.offsets = np.searchsorted(
+            block.gkey, np.arange(n_games + 1) * self._span
+        ).tolist()
+        dep_slots, dep_ranks, dep_rows = deps
+        by_slot = np.lexsort((dep_rows, dep_slots))
+        block.deps = (
+            dep_slots[by_slot].tolist(),
+            dep_ranks[by_slot].tolist(),
+            dep_rows[by_slot].tolist(),
+        )
+        block.dp = 0
+        block.last = int(slots_s[-1])
+        return block, order, g_start
+
+    def _merge(self, older: _Block, newer: _Block, t: int) -> _Block:
+        """One block of ``older``'s entries and departures from slot ``t``
+        on and all of ``newer``'s, whose rows all come later."""
+        lo = int(np.searchsorted(older.gslot, t))
+        slots, ranks, rows, vals = (
+            np.concatenate(pair) for pair in zip(older.tail(lo), newer.tail(0))
+        )
+        deps = (
+            np.array(left[older.dp :] + right, dtype=np.int64)
+            for left, right in zip(older.deps, newer.deps)
+        )
+        block = self._layout(slots, ranks, rows, vals, deps)[0]
+        older_tot, older_pos = older.prefix(block.gkey, self._span)
+        newer_tot, newer_pos = newer.prefix(block.gkey, self._span)
+        block.gtot = older_tot + newer_tot
+        block.gpos = older_pos + newer_pos
+        return block
+
+    def _lower_flush(self, keys: np.ndarray) -> np.ndarray | None:
+        """Lower the flush slot of every game whose bids might cover its
+        cost at one of ``keys`` (sorted ``rank * span + slot``).
+
+        The gate profile there is summed over every live block. Returns
+        the mask of games whose flush moved, or None. Like every use of
+        the gate this only needs to be *sound*: float drift is absorbed
+        by the gate's slack, and a superseded row still counted only errs
+        toward flushing.
+        """
+        total, n_pos = 0.0, 0
+        for block in self._blocks:
+            more_tot, more_pos = block.prefix(keys, self._span)
+            total = total + more_tot
+            n_pos = n_pos + more_pos
+        costs = self._cost_of[keys // self._span]
         feasible = (n_pos > 0) & (
             total >= costs - _GATE_SLACK * (n_pos + 1.0) * (costs + 1.0)
         )
-        position = np.where(feasible, np.arange(n_groups), n_groups)
-        first_feasible = np.minimum.reduceat(position, idx_first)
-        flush_slot = np.full(
-            len(self._opt_ids), np.iinfo(np.int64).max, dtype=np.int64
-        )
-        found = first_feasible < n_groups
-        slots_sorted = g_slot[order]
-        flush_slot[r_sorted[idx_first][found]] = slots_sorted[
-            first_feasible[found]
-        ]
-        return flush_slot
+        keys = keys[feasible]
+        if not len(keys):
+            return None
+        ranks = keys // self._span
+        first = np.empty(len(ranks), dtype=bool)
+        first[0] = True
+        first[1:] = ranks[1:] != ranks[:-1]
+        ranks, slots = ranks[first], keys[first] % self._span
+        moved = np.zeros(len(self._opt_ids), dtype=bool)
+        moved[ranks] = slots < self._flush[ranks]
+        self._flush[ranks] = np.minimum(self._flush[ranks], slots)
+        return moved if moved.any() else None
 
     # --------------------------------------------------------------- loop --
 
@@ -742,206 +751,84 @@ class FleetEngine:
     def _advance_one_slot(self) -> int:
         if self.slot >= self.horizon:
             raise MechanismError(f"period is over after slot {self.horizon}")
-        if not self._finalized:
-            self._finalize()
         t = self.slot + 1
-
-        overlay = self._pending.pop(t, None)
-        late = self._late
-        groups = self._groups
-        walk: list | None = None
-        if groups is not None:
-            g_slot, g_rank, g_start, g_end = groups
-            gp = self._gp
-            n = len(g_slot)
-            if gp < n and g_slot[gp] == t:
-                # Every surviving group belongs to a game at/after its
-                # flush slot: first touch flushes the replayed profile,
-                # later ones step the hot engine. Groups of late-delivery
-                # (dict-cold) games are skipped — their entries stream in
-                # through ``late`` instead.
-                if overlay is None and not late:
-                    # Pure-bulk hot path: dispatch in walk (= shard) order.
-                    hot = self._hot
-                    profile = self._profile
-                    while gp < n and g_slot[gp] == t:
-                        rank = g_rank[gp]
-                        if hot[rank]:
-                            self._apply_hot(t, rank, self._group_dict(gp))
-                        elif profile[rank] is None:
-                            # The precomputed flush: the replayed profile
-                            # already includes this group's entries.
-                            self._go_hot(rank, t)
-                            self._apply_hot(t, rank, self._profile_flush(rank))
-                        else:
-                            self._step_game(t, rank, self._group_dict(gp))
-                        gp += 1
-                else:
-                    # Mixed intake this slot: collect the walk groups and
-                    # dispatch them together with the overlay below, in
-                    # one shard-major pass (DESIGN.md's ordering contract
-                    # holds across change sources).
-                    walk = []
-                    while gp < n and g_slot[gp] == t:
-                        rank = g_rank[gp]
-                        if rank not in late:
-                            walk.append((rank, gp))
-                        gp += 1
-                self._gp = gp
-        if late:
-            overlay = self._drain_late(t, overlay)
-        if walk or overlay:
-            self._dispatch_merged(t, walk or (), overlay)
-
-        self._invoice_departures(t)
+        if self._open_start <= t:
+            self._finalize(t)
+        if t >= self._next:
+            self._walk(t)
+            self._invoice_departures(t)
+            self._next = min([b.next_slot() for b in self._blocks])
         self.slot = t
         self.epoch += 1
         return t
 
-    def _dispatch_merged(self, t: int, walk, overlay: dict | None) -> None:
-        """One shard-major pass over bulk-walk groups and overlay changes.
+    def _walk(self, t: int) -> None:
+        """Step every game with a walked group at slot ``t``, shard-major.
 
-        ``walk`` holds ``(rank, group index)`` pairs already in processing
-        order; overlay ranks are merged in by process rank. A game present
-        in both sources gets a single merged change set (same-slot per-bid
-        revisions win over columnar entries).
+        A game with groups in several blocks gets one merged change set,
+        later blocks (later rows) winning. A cold game's first walked
+        group is its flush.
         """
         proc = self._proc_rank
-        merged: list = [(proc[rank], rank, gp) for rank, gp in walk]
-        if overlay:
-            walk_ranks = {rank for rank, _ in walk}
-            merged.extend(
-                (proc[rank], rank, None)
-                for rank in overlay
-                if rank not in walk_ranks
-            )
-            merged.sort()
+        steps: list = []
+        for block in self._blocks:
+            wslot, wrank, wlo, whi = block.walk
+            gp = block.gp
+            n = len(wslot)
+            while gp < n and wslot[gp] == t:
+                rank = wrank[gp]
+                steps.append((proc[rank], rank, block, wlo[gp], whi[gp]))
+                gp += 1
+            block.gp = gp
+        if len(self._blocks) > 1:
+            steps.sort(key=itemgetter(0))  # stable: block order per game
         hot = self._hot
-        profile = self._profile
-        for _, rank, gp in merged:
-            changes = None if gp is None else self._group_dict(gp)
-            if overlay and rank in overlay:
-                if changes is None:
-                    changes = overlay[rank]
-                else:
-                    changes.update(overlay[rank])
-            if gp is None:
-                self._step_game(t, rank, changes)
-            elif hot[rank]:
-                self._apply_hot(t, rank, changes)
-            elif profile[rank] is None:
-                # Precomputed flush; the replayed profile already includes
-                # this group's entries, and an overlay change for a
-                # vector-cold game is impossible (handle bids convert the
-                # game to dict-cold at placement).
-                self._go_hot(rank, t)
-                self._apply_hot(t, rank, self._profile_flush(rank))
-            else:
-                self._step_game(t, rank, changes)
-
-    def _drain_late(self, t: int, overlay: dict | None) -> dict | None:
-        """Deliver this slot's bulk entries of dict-cold games.
-
-        Merged into the overlay (same-slot per-bid revisions win) so the
-        shard-ordered dispatch below sees one change set per game.
-        """
-        names = self._users
-        exhausted = []
-        for rank, record in self._late.items():
-            slot_list, user_list, val_list, i, n = record
-            changed = None
-            while i < n and slot_list[i] == t:
-                if changed is None:
-                    changed = {}
-                changed[names[user_list[i]]] = val_list[i]
-                i += 1
-            record[3] = i
-            if i >= n:
-                exhausted.append(rank)
-            if changed:
-                if overlay is None:
-                    overlay = {}
-                existing = overlay.get(rank)
-                if existing:
-                    changed.update(existing)
-                overlay[rank] = changed
-        for rank in exhausted:
-            del self._late[rank]
-        return overlay
-
-    def _group_dict(self, gp: int) -> dict:
-        """Materialize one columnar group's ``{user: residual}`` dict."""
-        users, vals = self._entries
-        _, _, g_start, g_end = self._groups
-        lo, hi = g_start[gp], g_end[gp]
-        names = self._users
-        return dict(
-            zip(
-                [names[u] for u in users[lo:hi].tolist()],
-                vals[lo:hi].tolist(),
-            )
-        )
-
-    def _go_hot(self, rank: int, t: int) -> None:
-        """Vector-cold -> hot: reconstruct the profile for the flush."""
-        slots, users, vals, offsets = self._by_rank
-        lo, hi = offsets[rank], offsets[rank + 1]
-        slot_list = slots[lo:hi].tolist()
-        user_list = users[lo:hi].tolist()
-        val_list = vals[lo:hi].tolist()
-        names = self._users
-        profile: dict = {}
-        for i in range(hi - lo):
-            if slot_list[i] > t:
-                break
-            profile[names[user_list[i]]] = val_list[i]
-        self._profile[rank] = profile
-
-    def _profile_flush(self, rank: int) -> dict:
-        """Hand the materialized profile over exactly once."""
-        profile = self._profile[rank]
-        self._profile[rank] = None
-        self._hot[rank] = True
-        return profile
-
-    def _step_game(self, t: int, rank: int, residuals: dict) -> None:
-        """Dict-cold/hot dispatch for one game's changed residuals."""
-        if self._hot[rank]:
-            self._apply_hot(t, rank, residuals)
-            return
-        profile = self._profile[rank]
-        if profile is None:
-            # A vector-cold game reached through the overlay merge path:
-            # materialize its dict profile first (exact, replayed).
-            self._materialize_profile(rank)
-            profile = self._profile[rank]
-        total = self._ctotal[rank]
-        n_pos = self._cnpos[rank]
-        for user, bid in residuals.items():
-            old = profile.get(user, 0.0)
-            if old == bid:
+        i = 0
+        n = len(steps)
+        while i < n:
+            _, rank, block, lo, hi = steps[i]
+            i += 1
+            if not hot[rank]:
+                while i < n and steps[i][1] == rank:
+                    i += 1  # the flush reads every block's entries itself
+                self._go_hot(t, rank)
                 continue
-            if bid != bid:  # NaN: fail exactly like the engine path
-                raise MechanismError(
-                    f"bid for user {user!r} must be >= 0, got {bid}"
-                )
-            profile[user] = bid
-            if old > 0.0:
-                total -= old
-                n_pos -= 1
-            if bid > 0.0:
-                total += bid
-                n_pos += 1
-        if not n_pos:
-            total = 0.0
-        cost = self._costs[rank]
-        self._cnpos[rank] = n_pos
-        self._ctotal[rank] = total
-        if not n_pos or total < cost - _GATE_SLACK * (n_pos + 1.0) * (cost + 1.0):
-            # Provably still infeasible: the game's outcome is untouched,
-            # so the sorted engine is not even materialized this slot.
-            return
-        self._apply_hot(t, rank, self._profile_flush(rank))
+            changes = dict(self._entries(block.rows[lo:hi], block.vals[lo:hi]))
+            while i < n and steps[i][1] == rank:
+                _, _, block, lo, hi = steps[i]
+                i += 1
+                changes.update(self._entries(block.rows[lo:hi], block.vals[lo:hi]))
+            self._apply_hot(t, rank, changes)
+
+    def _entries(self, rows: np.ndarray, vals: np.ndarray):
+        """``(user, residual)`` pairs of schedule entries."""
+        names = self._users
+        return zip([names[u] for u in rows.tolist()], vals.tolist())
+
+    def _go_hot(self, t: int, rank: int) -> None:
+        """Cold -> hot: hand the game's profile as of slot ``t`` over.
+
+        The profile is every block's entries of the game up to ``t``, last
+        value per user winning — the same floats the slot loop would have
+        delivered one slot at a time. Blocks are read in row order, and a
+        superseding row covers every slot its predecessor still had, so
+        the current row always wins.
+        """
+        row_parts, val_parts = [], []
+        for block in self._blocks:
+            groups = block.by_rank[block.offsets[rank] : block.offsets[rank + 1]]
+            groups = groups[block.gslot[groups] <= t]
+            if not len(groups):
+                continue
+            lo = block.gbound[groups]
+            sizes = block.gbound[groups + 1] - lo
+            ends = np.cumsum(sizes)
+            entries = np.arange(ends[-1]) + np.repeat(lo - ends + sizes, sizes)
+            row_parts.append(block.rows[entries])
+            val_parts.append(block.vals[entries])
+        rows, vals = np.concatenate(row_parts), np.concatenate(val_parts)
+        self._hot[rank] = True
+        self._apply_hot(t, rank, dict(self._entries(rows, vals)))
 
     def _apply_hot(self, t: int, rank: int, residuals: dict) -> None:
         state = self._states[rank]
@@ -965,16 +852,20 @@ class FleetEngine:
         departed: dict = {}
         payments = self._payments
         hot = self._hot
-        deps = self._deps
-        if deps is not None:
-            dep_slots, dep_ranks, dep_users = deps
-            names = self._users
-            dp = self._dp
+        names = self._users
+        # Until a revision, no row is superseded: skip the guard lookup.
+        taken = self._taken if self._revised else None
+        for block in self._blocks:
+            dep_slots, dep_ranks, dep_rows = block.deps
+            dp = block.dp
             n = len(dep_slots)
             while dp < n and dep_slots[dp] == t:
-                user = names[dep_users[dp]]
+                row = dep_rows[dp]
                 rank = dep_ranks[dp]
                 dp += 1
+                user = names[row]
+                if taken is not None and taken[rank].get(user) != row:
+                    continue  # revised: the superseding row departs instead
                 if hot[rank]:
                     self._invoice(t, user, rank, departed)
                 else:
@@ -982,12 +873,7 @@ class FleetEngine:
                     # owes exactly zero, no engine consultation needed.
                     payments[user] = payments.get(user, 0.0)
                     departed[user] = None
-            self._dp = dp
-        for key in self._ends_at.pop(t, ()):
-            user, rank = key
-            if self._handles[key].current.end != t:
-                continue  # the departure moved by revision; invoice later
-            self._invoice(t, user, rank, departed)
+            block.dp = dp
         if departed:
             self.events.record_many([UserDeparted(t, user) for user in departed])
 
@@ -995,8 +881,7 @@ class FleetEngine:
         amount = self._states[rank].exit_price(user)
         self._payments[user] = self._payments.get(user, 0.0) + amount
         if amount > 0:
-            optimization = self._opt_ids[rank]
-            self.ledger.invoice(t, user, amount, memo=f"opt={optimization!r}")
+            self.ledger.invoice(t, user, amount, memo=self._details[rank])
             self.events.record(UserCharged(t, user, amount))
             self._game_revenue[rank] += amount
         departed[user] = None
@@ -1037,6 +922,20 @@ class FleetEngine:
             },
             epoch=self.epoch,
         )
+
+
+def _require_finite(values) -> None:
+    """Per-bid values must be finite, as bulk intake requires."""
+    if not all(map(math.isfinite, values)):
+        raise BidError("slot values must be finite")
+
+
+def _running(deltas: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Running sums of ``deltas`` restarted wherever ``first`` is set."""
+    starts = np.flatnonzero(first)
+    cum = np.cumsum(deltas)
+    base = np.where(starts > 0, cum[starts - 1], 0)
+    return cum - base[np.cumsum(first) - 1]
 
 
 def _grant_order(user) -> tuple:

@@ -11,7 +11,7 @@ Wire shape
 ----------
 A serialized envelope is a flat JSON object::
 
-    {"api": "1.7", "kind": "SubmitBids", "tenant": "ann", "bids": [...]}
+    {"api": "1.8", "kind": "SubmitBids", "tenant": "ann", "bids": [...]}
 
 ``api`` is :data:`API_VERSION` (checked on decode; a mismatch raises
 :class:`~repro.errors.ProtocolError` with code ``"version"``), ``kind``
@@ -92,7 +92,10 @@ __all__ = [
 #: warning shims. 1.7 deleted the pool and its pool-size field from
 #: both envelopes: a :class:`Configure` that still carries it is refused
 #: as an unknown field, and the in-process engine is the only backend.
-API_VERSION = "1.7"
+#: 1.8 made every fleet bid a row of one columnar store: same-slot
+#: departures follow one row order across bulk and per-bid intake, which
+#: changes the event log and ledger of mixed-intake periods.
+API_VERSION = "1.8"
 
 #: Query kinds :class:`RunQuery` accepts (the astronomy workload surface).
 QUERY_KINDS = ("members", "histogram", "top", "chain", "contributors")
@@ -180,10 +183,11 @@ class SubmitBids(Request):
 
     ``values`` is the per-slot value schedule from ``start`` on — exactly
     an :class:`~repro.bids.AdditiveBid`'s constructor arguments.
-    ``revisable`` opts out of columnar bulk intake: bulk-ingested bids
-    cannot be revised later (the fleet's bulk path trades handles for
-    throughput), so a bid a later :class:`ReviseBid` will touch must be
-    submitted with ``revisable=True``.
+    ``revisable`` marks bids a later :class:`ReviseBid` will touch: every
+    bid becomes one row of the fleet's columnar store either way, but only
+    a revisable bid keeps the handle a revision needs, so a batched
+    dispatch before the first slot ingests non-revisable runs in bulk and
+    places revisable ones one by one.
     """
 
     tenant: object

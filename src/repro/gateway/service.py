@@ -249,7 +249,6 @@ class PricingService:
             advisor_config if advisor_config is not None else AdvisorConfig()
         )
         self.last_advice = None  # full AdvisorOutcome of the latest round
-        self._bulk_submitted: set = set()  # (tenant, rank) taken by bulk runs
         self._snapshots: dict[int, CatalogSnapshot] = {}  # epoch -> snapshot
         self._closed = False
         self._wal = None  # WalWriter once attach_wal()/recover() ran
@@ -294,7 +293,6 @@ class PricingService:
         if not isinstance(catalog, OptimizationCatalog):
             catalog = OptimizationCatalog.from_costs(dict(catalog))
         self.fleet = FleetEngine(catalog, horizon=horizon, shards=shards)
-        self._bulk_submitted = set()
         # A new period resets the logical fleet history: this Configure
         # plus the later fleet mutations fully determine engine state.
         self._fleet_history = [
@@ -309,11 +307,10 @@ class PricingService:
     def attach_fleet(self, fleet: FleetEngine) -> FleetEngine:
         """Adopt an externally assembled engine as the current period.
 
-        The duplicate guard is seeded with whatever bulk bids the engine
-        already holds, so a gateway bulk run cannot double-schedule a
-        pair the previous owner ingested. An adopted engine has no
-        dispatch history, so a WAL-attached (durable) service refuses it:
-        its state could never be checkpointed or recovered.
+        The engine's own duplicate guard covers the bids it already
+        holds. An adopted engine has no dispatch history, so a
+        WAL-attached (durable) service refuses it: its state could never
+        be checkpointed or recovered.
         """
         if self._wal is not None:
             raise GameConfigError(
@@ -322,7 +319,6 @@ class PricingService:
                 "history to checkpoint"
             )
         self.fleet = fleet
-        self._bulk_submitted = set(fleet.bulk_keys())
         self._fleet_history = None
         return fleet
 
@@ -422,15 +418,16 @@ class PricingService:
     def _dispatch_batch(self, requests: list) -> Sequence[Reply]:
         """Dispatch a batch, preserving the fleet's columnar hot path.
 
-        Runs of :class:`SubmitBids` envelopes arriving while bulk intake
-        is still open (before the first slot) are ingested as
-        :class:`FleetBatch` blocks instead of one
-        :meth:`~repro.fleet.engine.FleetEngine.place_bid` call per bid.
-        Like ``ingest`` itself, the bulk path trusts the batch: one bid
-        per (tenant, optimization), no later revision. Replies come back
-        in request order either way; bulk runs stay lazy
-        (:class:`BulkAcks` segments, all-or-nothing) whether the batch
-        is pure bulk or mixed with other requests.
+        Runs of non-revisable :class:`SubmitBids` envelopes arriving
+        before the first slot are ingested as :class:`FleetBatch` blocks
+        instead of one :meth:`~repro.fleet.engine.FleetEngine.place_bid`
+        call per bid; like bulk-ingested bids everywhere, they cannot be
+        revised later. Later envelopes are placed one by one, each with
+        its own verdict, so a retroactive bid fails only its own
+        envelope, not every tenant's in the batch. Replies come back in
+        request order either way; bulk runs stay lazy (:class:`BulkAcks`
+        segments, all-or-nothing) whether the batch is pure bulk or
+        mixed with other requests.
 
         On a durable service the whole call is the **group-commit**
         boundary: one atomic WAL record (one fsync) covers every
@@ -454,7 +451,7 @@ class PricingService:
         singles: list[Reply] = []
         pending: list[SubmitBids] = []
         pending_append = pending.append
-        # Hoisted out of the loop: intake state only changes when a
+        # Hoisted out of the loop: the clock only moves when a
         # non-SubmitBids request is dispatched (slot advance, reconfigure).
         bulk_open = self._bulk_open()
         for request in requests:
@@ -934,7 +931,7 @@ class PricingService:
 
     def _bulk_open(self) -> bool:
         fleet = self.fleet
-        return fleet is not None and fleet.bulk_intake_open
+        return fleet is not None and fleet.slot == 0
 
     def _ingest_bulk(self, requests: list[SubmitBids]) -> BulkAcks:
         """Bulk-ingest a run of SubmitBids as duration-major FleetBatches.
@@ -952,13 +949,6 @@ class PricingService:
         _DISPATCH_TOTAL.labels(kind="SubmitBids").inc(len(requests))
         fleet = self._require_fleet()
         rank_get = fleet.rank_map.get
-        # The gateway is an *untrusted* boundary over the engine's
-        # trusting bulk path: duplicate (tenant, optimization) pairs —
-        # within this run or against an earlier bulk run — must fail the
-        # run, not silently double-schedule and double-invoice. The
-        # engine itself still guards against handle-bid collisions.
-        taken = self._bulk_submitted
-        new_keys = []
         # duration -> parallel (tenants, ranks, starts, values) columns,
         # filled in one pass so 50k envelopes cost one tight loop.
         columns: dict[int, tuple] = {}
@@ -978,14 +968,6 @@ class PricingService:
                         raise BidError("a slot schedule needs at least one slot")
                     if start < 1:
                         raise BidError(f"start slot must be >= 1, got {start}")
-                    key = (tenant, rank)
-                    if key in taken:
-                        raise GameConfigError(
-                            f"user {tenant!r} already bid on "
-                            f"{optimization!r}; revise instead"
-                        )
-                    taken.add(key)
-                    new_keys.append(key)
                     duration = len(values)
                     group = columns_get(duration)
                     if group is None:
@@ -1008,11 +990,13 @@ class PricingService:
                         values=matrix,
                     )
                 )
-            fleet.ingest_many(batches)
+            # The gateway is an untrusted boundary: a (tenant,
+            # optimization) pair bid twice, within this run or before it,
+            # must fail the run, not double-schedule and double-invoice.
+            fleet.ingest_many(batches, checked=True)
         except ReproError as exc:
             # Bulk intake is all-or-nothing per run: ingest_many commits
             # nothing on failure, and the whole run shares the verdict.
-            taken.difference_update(new_keys)
             return BulkAcks(
                 requests, fleet.slot, ErrorReply.of(exc, request_kind="SubmitBids")
             )

@@ -12,6 +12,8 @@ replay determinism, and the ledger/event-log invariants of the fleet path.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro import AdditiveBid, GameConfigError, MechanismError, ProtocolError
 from repro.cloudsim import (
+    BidPlaced,
     CloudService,
     OptimizationCatalog,
     OptimizationImplemented,
@@ -29,6 +32,7 @@ from repro.cloudsim import (
 )
 from repro.core.online import AddOnState, step_changed_many
 from repro.fleet import FleetBatch, FleetEngine, ShardMap
+from repro.fleet import engine as fleet_engine
 from repro.workloads import fleet_arrival_trace, fleet_batches, fleet_game_costs
 
 values = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
@@ -157,6 +161,73 @@ class TestFleetMatchesSeedPath:
         assert first.ledger.entries == second.ledger.entries
 
 
+class TestPlacementTimeInvariance:
+    """Outcomes depend on the bids, not on the slot they were placed at."""
+
+    # Up to ten slots of placements; a block limit of 1 or 2 makes the
+    # engine merge blocks at nearly every slot.
+    @settings(max_examples=120, deadline=None)
+    @given(
+        game=fleet_games(max_users=12, max_slots=10),
+        shards=st.integers(1, 4),
+        max_blocks=st.sampled_from([1, 2, 8]),
+        data=st.data(),
+    )
+    def test_late_placement_matches_placing_everything_first(
+        self, game, shards, max_blocks, data
+    ):
+        costs, bids, revisions, horizon = game
+        reference = _run_fleet(costs, bids, revisions, horizon, shards=shards)
+        first_revision: dict = {}
+        for at, user, bid_game, _, _ in revisions:
+            first_revision.setdefault((user, bid_game), at)
+        # Each bid lands at a random slot before its start (and before its
+        # first revision), through place_bid or a one-row ingest_many;
+        # revised bids need place_bid's handle.
+        placements: dict = {}
+        for user, bid_game, bid in bids:
+            revised_at = first_revision.get((user, bid_game))
+            latest = min(bid.start, revised_at or bid.start) - 1
+            slot = data.draw(st.integers(0, latest))
+            bulk = revised_at is None and data.draw(st.booleans())
+            placements.setdefault(slot, []).append((user, bid_game, bid, bulk))
+        engine = FleetEngine(
+            OptimizationCatalog.from_costs(costs), horizon=horizon, shards=shards
+        )
+        handles = {}
+        pending = list(revisions)
+        with mock.patch.object(fleet_engine, "_MAX_BLOCKS", max_blocks):
+            self._feed(engine, placements, pending, handles)
+        late = engine.report()
+        assert dict(late.payments) == dict(reference.payments)
+        assert dict(late.granted_at) == dict(reference.granted_at)
+        assert dict(late.implemented) == dict(reference.implemented)
+        assert dict(late.game_revenue) == dict(reference.game_revenue)
+
+    @staticmethod
+    def _feed(engine, placements, pending, handles):
+        while engine.slot < engine.horizon:
+            for user, bid_game, bid, bulk in placements.get(engine.slot, ()):
+                if bulk:
+                    engine.ingest_many(
+                        [
+                            FleetBatch(
+                                users=(user,),
+                                opt_ranks=np.array([engine.rank_of(bid_game)]),
+                                starts=np.array([bid.start]),
+                                values=np.array([bid.schedule.values]),
+                            )
+                        ]
+                    )
+                else:
+                    handles[(user, bid_game)] = engine.place_bid(user, bid_game, bid)
+            while pending and pending[0][0] == engine.slot + 1:
+                _, user, bid_game, slot, bump = pending.pop(0)
+                current = handles[(user, bid_game)].current
+                engine.revise_bid(user, bid_game, {slot: current.value_at(slot) + bump})
+            engine.advance_slot()
+
+
 class TestBulkIngestParity:
     """The columnar intake must match per-bid placement exactly."""
 
@@ -196,13 +267,24 @@ class TestBulkIngestParity:
         assert dict(bulk.game_revenue) == dict(per_bid.game_revenue)
         assert bulk.ledger.revenue == per_bid.ledger.revenue
 
-    def test_mechanism_event_stream_identical(self, pair):
+    def test_mechanism_event_stream_identical(self, pair, request):
         # BidPlaced detail differs between intake paths by design, and
-        # within-slot *departure* order follows each path's own intake
-        # order (determinism is per intake stream, see DESIGN.md). The
-        # grant/implementation sequence and the per-slot departure and
-        # charge sets must match exactly.
+        # same-slot departures follow row order. One ingest_many call per
+        # bid appends the rows in the per-bid path's order, so there the
+        # whole event log and ledger match in order; one batch per
+        # duration reorders the rows, so the grant/implementation
+        # sequence and the per-slot departure and charge sets must match.
         bulk, per_bid = pair
+
+        def stream(report):
+            return [
+                replace(e, detail="") if isinstance(e, BidPlaced) else e
+                for e in report.events.all()
+            ]
+
+        if request.node.callspec.params["pair"] == "per_bid_calls":
+            assert stream(bulk) == stream(per_bid)
+            assert bulk.ledger.entries == per_bid.ledger.entries
 
         def grant_sequence(report):
             keep = (UserGranted, OptimizationImplemented)
@@ -338,8 +420,18 @@ class TestFleetApi:
             engine.ingest(batch(values=np.array([[3.0, 1.0], [2.0, -0.5]])))
         assert engine.ingest(batch()) == 2
         engine.advance_slot()
-        with pytest.raises(MechanismError):
-            engine.ingest(batch())
+        # Late intake is open, but a start at or before the current slot
+        # is retroactive and the whole call commits nothing.
+        epoch, events = engine.epoch, len(engine.events)
+        with pytest.raises(GameConfigError):
+            engine.ingest_many(
+                [
+                    batch(users=(3, 4), starts=np.array([2, 3])),
+                    batch(users=(5, 6), starts=np.array([2, 1])),
+                ]
+            )
+        assert (engine.epoch, len(engine.events)) == (epoch, events)
+        assert engine.ingest(batch(users=(3, 4), starts=np.array([2, 3]))) == 2
 
     def test_ragged_batch_values_are_protocol_errors(self):
         with pytest.raises(ProtocolError):
@@ -436,6 +528,54 @@ class TestFleetApi:
         report = engine.run_to_end()
         assert report.grant_slot("late", "g0") == 2
         assert report.payments["late"] > 0
+
+    def test_late_bid_funding_a_cold_game_reaches_older_blocks(self):
+        # ann and cara alone never cover g0's cost, so their block,
+        # finalized at slot 2, skips g0 entirely; bob's later bid funds g0
+        # at slot 3, after which cara's slot-5 entry from the older block
+        # must still be stepped.
+        def run(bob_at):
+            engine = FleetEngine(
+                OptimizationCatalog.from_costs({"g0": 10.0}), horizon=6
+            )
+            engine.ingest(
+                FleetBatch(
+                    users=("ann", "cara"),
+                    opt_ranks=np.array([0, 0]),
+                    starts=np.array([2, 5]),
+                    values=np.array([[0.0, 6.0], [9.0, 0.0]]),
+                )
+            )
+            for _ in range(bob_at):
+                engine.advance_slot()
+            engine.place_bid("bob", "g0", AdditiveBid.over(3, [5.0]))
+            return engine.run_to_end()
+
+        late, early = run(bob_at=2), run(bob_at=0)
+        assert late.implemented == {"g0": 3}
+        assert late.grant_slot("cara", "g0") == 5
+        assert dict(late.payments) == dict(early.payments)
+        assert dict(late.granted_at) == dict(early.granted_at)
+
+    def test_merged_block_keeps_both_gate_profiles(self):
+        # ann's block alone never covers g0's cost; bob's block merges
+        # into it at slot 3, and only their profiles together fund g0.
+        def run(bob_at):
+            engine = FleetEngine(
+                OptimizationCatalog.from_costs({"g0": 10.0}), horizon=5
+            )
+            engine.place_bid("ann", "g0", AdditiveBid.over(2, [0.0, 6.0]))
+            for _ in range(bob_at):
+                engine.advance_slot()
+            engine.place_bid("bob", "g0", AdditiveBid.over(3, [6.0]))
+            return engine.run_to_end()
+
+        with mock.patch.object(fleet_engine, "_MAX_BLOCKS", 1):
+            late = run(bob_at=2)
+        early = run(bob_at=0)
+        assert late.implemented == early.implemented == {"g0": 3}
+        assert dict(late.granted_at) == dict(early.granted_at)
+        assert dict(late.payments) == dict(early.payments)
 
     def test_revision_extends_departure(self):
         catalog = OptimizationCatalog.from_costs({"g0": 100.0})

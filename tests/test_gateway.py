@@ -345,6 +345,22 @@ class TestGatewayPreservesFleetPath:
         assert [type(r).__name__ for r in replies] == ["ErrorReply", "ErrorReply"]
         assert all(r.code == "game-config" for r in replies)
 
+    def test_batch_after_first_slot_gives_each_envelope_its_verdict(self):
+        # Once the clock has moved, a batched run is placed bid by bid:
+        # ann's retroactive bid fails alone, bob's valid one lands.
+        service = PricingService({"idx": 40.0}, horizon=4)
+        service.dispatch(AdvanceSlots(slots=1))
+        replies = service.dispatch(
+            [
+                SubmitBids(tenant="ann", bids=(("idx", 1, (30.0,)),)),
+                SubmitBids(tenant="bob", bids=(("idx", 2, (50.0,)),)),
+            ]
+        )
+        assert [type(r).__name__ for r in replies] == ["ErrorReply", "BidsReply"]
+        assert replies[0].code == "game-config"
+        assert "bob" not in replies[0].message
+        assert service.run_to_end().implemented == {"idx": 2}
+
     def test_failed_bulk_run_commits_nothing(self):
         # All-or-nothing across duration batches: a later batch failing
         # must not leave an earlier one scheduled (and later invoiced).

@@ -1,6 +1,6 @@
 """Durability tax and recovery speed of the write-ahead-logged gateway.
 
-Three measurements, one harness:
+Five measurements, one harness:
 
 * **Steady-state overhead (gated)** — the same running-period stream is
   driven through a plain :class:`repro.gateway.PricingService` and one
@@ -32,6 +32,19 @@ Three measurements, one harness:
   match the pre-kill service exactly. The rows land machine-readable in
   the trajectory entry (``extra["recovery"]``).
 
+* **Tail checkpoint vs WAL alone (zero re-dispatch gated)** — an online
+  period of revisable one-bid envelopes and ticks, each dispatched as
+  its own batch, is recovered twice: from the WAL alone (base
+  checkpoint plus every record) and from a checkpoint written after the
+  last record. Both land on the live fingerprint; the checkpoint path
+  must re-dispatch zero envelopes (read from ``repro_dispatch_total``,
+  asserted at every scale). Times, directory sizes and the checkpoint
+  path's stage split land in ``extra["tail_checkpoint"]``.
+
+* **The same at 1M users (reported)** — a bulk-fed period of 200 games
+  run halfway, so the checkpoint carries a million-user event log and
+  ledger (``extra["tail_checkpoint_bulk"]``; smoke mode shrinks it).
+
 Run as a script for the full table:
 
     PYTHONPATH=src python benchmarks/bench_recovery.py
@@ -40,15 +53,21 @@ Run as a script for the full table:
 from __future__ import annotations
 
 import gc
+import hashlib
+import json
+import shutil
 import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 import harness
+from repro import obs
 from repro.cloudsim.catalog import OptimizationCatalog
 from repro.db.schema import Schema
 from repro.db.table import Table
-from repro.gateway import codec
+from repro.gateway import fingerprint
 from repro.gateway.envelopes import (
     AdvanceSlots,
     ErrorReply,
@@ -57,6 +76,12 @@ from repro.gateway.envelopes import (
     SubmitBids,
 )
 from repro.gateway.service import PricingService
+from repro.gateway.wal import recovery
+from repro.gateway.wal.checkpoint import (
+    CHECKPOINT_GLOB,
+    checkpoint_path,
+    restore_service,
+)
 from repro.workloads.fleet import fleet_arrival_trace, fleet_game_costs
 
 #: (games, users, slots, rounds, queries, table_rows) rows of the
@@ -72,6 +97,16 @@ SCALES = harness.scale(
 
 #: WAL lengths (records) for the recovery-time sweep.
 WAL_LENGTHS = harness.scale((100, 400, 1600), (10, 30))
+
+#: (games, bids) of the tail-checkpoint period: one-bid revisable
+#: envelopes of durations 1-4 starting 2-22 slots ahead, one tick per
+#: ``TAIL_BIDS_PER_TICK`` bids.
+TAIL_SCALE = harness.scale((50, 4000), (8, 200))
+TAIL_BIDS_PER_TICK = 50
+TAIL_HORIZON = 200
+
+#: (games, users, slots) of the bulk-fed tail-checkpoint period.
+BULK_TAIL_SCALE = harness.scale((200, 1_000_000, 2000), (10, 2000, 50))
 
 #: Maximum tolerated WAL-on/WAL-off wall-clock overhead at the bar scale.
 OVERHEAD_CEILING = 0.10
@@ -143,18 +178,6 @@ def _steady_rounds(
     return steps
 
 
-def _fingerprint(service: PricingService) -> dict:
-    """Every durable surface of a configured service, in encoded form."""
-    return {
-        "db": codec.encode(service.db),
-        "log": codec.encode(service.log),
-        "db_epoch": service.db.epoch,
-        "slot": service.fleet.slot,
-        "ledger": codec.encode(service.fleet.ledger),
-        "events": codec.encode(service.fleet.events),
-    }
-
-
 def measure_steady_point(
     games: int,
     users: int,
@@ -223,12 +246,12 @@ def measure_steady_point(
         burst_plain, plain_s = _run(plain)
         durable = _build(Path(tmp))
         burst_wal, wal_s = _run(durable)
-        if _fingerprint(plain) != _fingerprint(durable):
+        if fingerprint(plain) != fingerprint(durable):
             raise AssertionError("WAL-attached run diverges from the plain run")
-        live = _fingerprint(durable)
+        live = fingerprint(durable)
         durable.close()
         recovered = PricingService.recover(Path(tmp))
-        if _fingerprint(recovered) != live:
+        if fingerprint(recovered) != live:
             raise AssertionError("recovered state diverges from the live run")
         recovered.close()
         del plain, durable, recovered, live
@@ -256,19 +279,156 @@ def measure_recovery_point(records: int) -> float:
             reply = service.dispatch(request)
             if isinstance(reply, ErrorReply):
                 raise AssertionError(f"dispatch failed: {reply.message}")
-        expected = _fingerprint(service)
+        expected = fingerprint(service)
         service.close()
 
         started = time.perf_counter()
         recovered = PricingService.recover(Path(tmp))
         elapsed = time.perf_counter() - started
-        if _fingerprint(recovered) != expected:
+        if fingerprint(recovered) != expected:
             raise AssertionError(
                 f"recovery of a {records}-record WAL diverges from the "
                 "pre-kill service"
             )
         recovered.close()
     return elapsed
+
+
+def _dispatched() -> float:
+    """Envelopes dispatched so far, over every kind."""
+    return sum(
+        value
+        for name, _, _, value in obs.REGISTRY.wire()
+        if name == "repro_dispatch_total"
+    )
+
+
+def _digest(service: PricingService) -> str:
+    """A hash of the service's :func:`fingerprint`: at a million users the
+    encoded fingerprint itself is hundreds of megabytes, so races compare
+    digests instead of holding it."""
+    text = json.dumps(fingerprint(service), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _size_mb(directory: Path) -> float:
+    return sum(p.stat().st_size for p in directory.iterdir()) / 1e6
+
+
+def _tail_period(games: int, bids: int) -> tuple[dict, list]:
+    """Costs on an even grid and the online period's envelopes."""
+    rng = np.random.default_rng(SEED)
+    costs = {f"game-{j}": 10.0 + 40.0 * j / games for j in range(games)}
+    steps: list = []
+    slot = 0
+    for i in range(bids):
+        duration = int(rng.integers(1, 5))
+        values = tuple(float(v) for v in rng.uniform(0.5, 4.0, duration).round(2))
+        game = f"game-{int(rng.integers(games))}"
+        start = slot + int(rng.integers(2, 23))
+        steps.append(
+            SubmitBids(
+                tenant=f"user-{i}", bids=((game, start, values),), revisable=True
+            )
+        )
+        if (i + 1) % TAIL_BIDS_PER_TICK == 0:
+            steps.append(AdvanceSlots(slots=1))
+            slot += 1
+    return costs, steps
+
+
+def _race_recoveries(live_dir: Path, live: str, repeats: int) -> dict:
+    """Recover ``live_dir`` (tail checkpoint) and a copy holding only the
+    base checkpoint, alternately; best-of-``repeats`` seconds, directory
+    sizes, and the envelopes each recovery re-dispatched."""
+    wal_dir = live_dir.with_name(live_dir.name + "-wal-only")
+    shutil.copytree(live_dir, wal_dir)
+    for path in wal_dir.glob(CHECKPOINT_GLOB):
+        if path != checkpoint_path(wal_dir, 0):
+            path.unlink()
+    out: dict = {}
+    sides = (("wal_only", wal_dir), ("tail", live_dir))
+    for _ in range(repeats):
+        for name, directory in sides:
+            gc.collect()
+            before = _dispatched()
+            started = time.perf_counter()
+            recovered = PricingService.recover(directory)
+            elapsed = time.perf_counter() - started
+            out[f"{name}_redispatched"] = int(_dispatched() - before)
+            if _digest(recovered) != live:
+                raise AssertionError(f"{name} recovery diverges from the live run")
+            recovered.close()
+            del recovered
+            out[f"{name}_s"] = round(min(out.get(f"{name}_s", elapsed), elapsed), 4)
+    for name, directory in sides:
+        out[f"{name}_mb"] = round(_size_mb(directory), 3)
+    # Where the checkpoint path's time goes, stage by stage.
+    newest = max(live_dir.glob(CHECKPOINT_GLOB))
+    started = time.perf_counter()
+    recovery.read_log(live_dir)
+    read_s = time.perf_counter() - started
+    state = recovery.load_checkpoint(newest)
+    load_s = time.perf_counter() - started - read_s
+    restore_service(state).close()
+    restore_s = time.perf_counter() - started - read_s - load_s
+    out["tail_stages_s"] = {
+        "read_log": round(read_s, 4),
+        "load_checkpoint": round(load_s, 4),
+        "restore_service": round(restore_s, 4),
+    }
+    out["ratio"] = round(out["tail_s"] / out["wal_only_s"], 3)
+    if out["tail_redispatched"] != 0:
+        raise AssertionError(
+            f"recovery from a tail checkpoint re-dispatched "
+            f"{out['tail_redispatched']} envelopes; it must dispatch none"
+        )
+    return out
+
+
+def measure_tail_checkpoint(games: int, bids: int, repeats: int = 3) -> dict:
+    """WAL-only recovery against recovery from a tail checkpoint, on an
+    online period dispatched one envelope per batch."""
+    costs, steps = _tail_period(games, bids)
+    with tempfile.TemporaryDirectory() as tmp:
+        live_dir = Path(tmp) / "live"
+        service = PricingService(costs, horizon=TAIL_HORIZON)
+        service.attach_wal(live_dir)
+        for step in steps:
+            (reply,) = service.dispatch([step])
+            if isinstance(reply, ErrorReply):
+                raise AssertionError(f"dispatch failed: {reply.message}")
+        service.checkpoint()
+        live = _digest(service)
+        implemented = len(service.fleet.implemented)
+        service.close()
+        out = _race_recoveries(live_dir, live, repeats)
+    if out["wal_only_redispatched"] != len(steps):
+        raise AssertionError("WAL-only recovery must replay every envelope")
+    return {"games": games, "bids": bids, "implemented": implemented, **out}
+
+
+def measure_bulk_tail(games: int, users: int, slots: int) -> dict:
+    """The same race on a bulk-fed period run halfway: one intake batch,
+    one multi-slot tick, then the tail checkpoint."""
+    costs = fleet_game_costs(SEED, games, MEAN_COST)
+    intake = _intake(
+        fleet_arrival_trace(SEED + 1, users, games, slots, MAX_DURATION)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        live_dir = Path(tmp) / "live"
+        service = PricingService(costs, horizon=slots, shards=SHARDS)
+        service.attach_wal(live_dir)
+        if service.dispatch(intake).failed is not None:
+            raise AssertionError("bulk intake failed")
+        del intake
+        service.dispatch(AdvanceSlots(slots=slots // 2))
+        service.checkpoint()
+        live = _digest(service)
+        service.close()
+        del service
+        out = _race_recoveries(live_dir, live, repeats=1)
+    return {"games": games, "users": users, "slots": slots, **out}
 
 
 def test_wal_overhead_and_recovery_time(emit):
@@ -284,6 +444,8 @@ def test_wal_overhead_and_recovery_time(emit):
     recovery_rows = [
         (records, measure_recovery_point(records)) for records in WAL_LENGTHS
     ]
+    tail = measure_tail_checkpoint(*TAIL_SCALE)
+    bulk_tail = measure_bulk_tail(*BULK_TAIL_SCALE)
     table = "\n".join(
         [
             "== steady-state stream, WAL on vs off "
@@ -305,6 +467,25 @@ def test_wal_overhead_and_recovery_time(emit):
             f"{n:>8} {s:>10.3f} {n / s:>10.0f}"
             for n, s in recovery_rows
         ]
+        + [
+            "",
+            "== tail checkpoint vs WAL alone (fingerprints asserted, "
+            "zero re-dispatch gated) ==",
+            f"{'period':>28} {'wal s':>8} {'tail s':>8} {'ratio':>6} "
+            f"{'wal MB':>7} {'tail MB':>8}",
+        ]
+        + [
+            f"{label:>28} {r['wal_only_s']:>8.3f} {r['tail_s']:>8.3f} "
+            f"{r['ratio']:>6.2f} {r['wal_only_mb']:>7.2f} {r['tail_mb']:>8.2f}"
+            for label, r in (
+                (f"{tail['games']} games / {tail['bids']} bids", tail),
+                (f"{bulk_tail['games']} games / {bulk_tail['users']} users", bulk_tail),
+            )
+        ]
+        + [
+            f"tail checkpoint stages: {tail['tail_stages_s']}",
+            f"bulk-fed stages: {bulk_tail['tail_stages_s']}",
+        ]
     )
     emit("recovery", table)
     games, users, _, plain_s, wal_s, burst_plain, burst_wal = rows[-1]
@@ -323,6 +504,8 @@ def test_wal_overhead_and_recovery_time(emit):
             "burst_overhead": round(burst_wal / burst_plain - 1.0, 4),
             "scales": [list(r[:3]) for r in rows],
             "recovery": [[n, round(s, 4)] for n, s in recovery_rows],
+            "tail_checkpoint": tail,
+            "tail_checkpoint_bulk": bulk_tail,
         },
     )
     if harness.enforce_floors():

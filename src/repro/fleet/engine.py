@@ -260,6 +260,9 @@ class FleetEngine:
             raise GameConfigError(f"horizon must be >= 1, got {horizon}")
         if len(catalog) == 0:
             raise GameConfigError("catalog must offer at least one optimization")
+        # Checkpoints image every field below exactly (the FleetEngine
+        # entry of repro.gateway.codec): a new field must be imaged there,
+        # or rebuilt from imaged ones, or a restored period diverges.
         self.catalog = catalog
         self.horizon = horizon
         self.slot = 0  # last processed slot; slot 1 is processed first

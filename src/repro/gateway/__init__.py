@@ -20,7 +20,8 @@ them:
   ``dispatch(request_or_batch) -> reply(s)`` over one
   fleet engine, one relational catalog, one advisor; per-tenant
   :class:`TenantSession` handles; the batched columnar hot path
-  preserved bit-for-bit through the boundary.
+  preserved bit-for-bit through the boundary; and ``fingerprint``, the
+  one comparable digest of a service's durable state.
 * :mod:`repro.gateway.trace` — JSONL request traces and the ``replay``
   driver behind the ``python -m repro replay`` command.
 * :mod:`repro.gateway.server` / :mod:`repro.gateway.client` — the
@@ -75,6 +76,7 @@ __all__ = [
     "PricingService",
     "TenantSession",
     "BulkAcks",
+    "fingerprint",
     # traces
     "ReplayResult",
     "write_trace",
@@ -107,7 +109,7 @@ _LAZY = {
         "repro.gateway.envelopes",
     ),
     **dict.fromkeys(
-        ("PricingService", "TenantSession", "BulkAcks"),
+        ("PricingService", "TenantSession", "BulkAcks", "fingerprint"),
         "repro.gateway.service",
     ),
     **dict.fromkeys(

@@ -24,11 +24,19 @@ is intentionally closed over what the public API actually returns.
 
 from __future__ import annotations
 
+import base64
+from array import array
 from typing import Callable, Mapping
 
+import numpy as np
+
 from repro.advisor.log import QueryTemplate, TemplateUsage, WorkloadLog
+from repro.bids.additive import AdditiveBid
+from repro.bids.revision import RevisableBid
 from repro.cloudsim import events as _ev
+from repro.cloudsim.catalog import OptimizationCatalog, OptimizationSpec
 from repro.cloudsim.ledger import BillingLedger
+from repro.core.online import AddOnState
 from repro.core.outcome import (
     AddOffOutcome,
     AddOnOutcome,
@@ -46,7 +54,7 @@ from repro.db.stats import ColumnStats, TableStats
 from repro.db.table import Table
 from repro.db.view import MaterializedView
 from repro.errors import ProtocolError, QueryError
-from repro.fleet.engine import FleetReport
+from repro.fleet.engine import FleetEngine, FleetReport, _Block
 
 __all__ = ["encode", "decode", "encode_value", "decode_value", "CODECS"]
 
@@ -410,12 +418,13 @@ def _dec_fleet_report(d: dict) -> FleetReport:
 
 # ------------------------------------------ durable state (checkpoints) --
 #
-# The Catalog and WorkloadLog codecs exist for the WAL checkpoint path
-# (:mod:`repro.gateway.wal.checkpoint`): unlike the reply codecs above
-# they serialize *internal* engine state, so decoding reconstructs the
-# private structures directly instead of replaying mutations — replay
-# would bump table versions and the catalog epoch, and a recovered
-# service must report the exact epochs the crashed one did.
+# The Catalog, WorkloadLog and FleetEngine codecs exist for the WAL
+# checkpoint path (:mod:`repro.gateway.wal.checkpoint`): unlike the reply
+# codecs above they serialize *internal* engine state, so decoding
+# reconstructs the private structures directly instead of replaying
+# mutations — replay would bump table versions and the catalog epoch,
+# re-run the pricing period, and a recovered service must report the
+# exact epochs the crashed one did.
 
 
 def _enc_table(t: Table) -> dict:
@@ -644,6 +653,192 @@ def _dec_log(d: dict) -> WorkloadLog:
     return log
 
 
+# The open period's FleetEngine is imaged exactly: every field the engine
+# reads again, so a restored engine continues the period as the original
+# would have, and restore re-dispatches nothing. Arrays travel as base64
+# of their little-endian bytes; user ids and user-keyed maps go through
+# encode_value, the ledger and event log through their own codecs.
+# Derived state (rank maps, shard order, a solver's sorted bid array) is
+# rebuilt; running sums such as a solver's bid total are stored, never
+# summed again, so float drift carries over bit for bit.
+
+_INT, _FLOAT = "<i8", "<f8"
+
+#: A block's numpy columns and their wire dtypes (see ``_Block``).
+_BLOCK_ARRAYS = (
+    ("rows", _INT),
+    ("vals", _FLOAT),
+    ("gslot", _INT),
+    ("grank", _INT),
+    ("gbound", _INT),
+    ("by_rank", _INT),
+    ("gkey", _INT),
+    ("gtot", _FLOAT),
+    ("gpos", _INT),
+)
+
+#: An open-row column group: (row, rank, start, values) typecodes.
+_COLUMN_TYPES = (("q", _INT), ("q", _INT), ("q", _INT), ("d", _FLOAT))
+
+
+def _enc_array(values, dtype: str) -> str:
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _dec_array(text, dtype: str) -> np.ndarray:
+    if not isinstance(text, str):
+        raise ProtocolError("an encoded array must be a base64 string")
+    raw = base64.b64decode(text, validate=True)
+    return np.frombuffer(raw, dtype=dtype).astype(dtype.replace("<", "="))
+
+
+def _enc_bid(bid: AdditiveBid) -> list:
+    return [bid.start, list(bid.schedule.values)]
+
+
+def _dec_bid(d) -> AdditiveBid:
+    start, values = d
+    return AdditiveBid.over(int(start), values)
+
+
+def _enc_handle(row: int, handle: RevisableBid) -> list:
+    revisions = [[at, _enc_bid(bid)] for at, bid in handle._revisions or ()]
+    return [row, handle.declared_at, _enc_bid(handle._initial), revisions]
+
+
+def _dec_handle(d) -> tuple:
+    row, declared_at, initial, revisions = d
+    handle = RevisableBid(_dec_bid(initial), declared_at=int(declared_at))
+    if revisions:
+        handle._revisions = [(int(at), _dec_bid(bid)) for at, bid in revisions]
+    return int(row), handle
+
+
+def _enc_game(state: AddOnState) -> list:
+    solver = state._engine
+    return [
+        state.price,
+        state.implemented_at,
+        state._slot,
+        encode_value(solver._bids),
+        encode_value(solver.forced),
+        solver._total,
+    ]
+
+
+def _dec_game(state: AddOnState, d) -> None:
+    price, implemented_at, slot, bids, forced, total = d
+    state.price = price
+    state.implemented_at = None if implemented_at is None else int(implemented_at)
+    state._slot = int(slot)
+    solver = state._engine
+    solver._bids = _decoded_map(bids)
+    solver._forced = set(decode_value(forced))
+    solver._rebuild()  # the sorted array and value index of _bids
+    solver._total = float(total)
+
+
+def _enc_block(b: _Block) -> dict:
+    out = {name: _enc_array(getattr(b, name), dtype) for name, dtype in _BLOCK_ARRAYS}
+    out.update(
+        offsets=list(b.offsets),
+        walk=[_enc_array(column, _INT) for column in b.walk],
+        deps=[_enc_array(column, _INT) for column in b.deps],
+        gp=b.gp,
+        dp=b.dp,
+        last=b.last,
+    )
+    return out
+
+
+def _dec_block(d: dict) -> _Block:
+    block = _Block()
+    for name, dtype in _BLOCK_ARRAYS:
+        setattr(block, name, _dec_array(_field(d, name), dtype))
+    block.offsets = [int(x) for x in _field(d, "offsets")]
+    block.walk = tuple(_dec_array(c, _INT).tolist() for c in _field(d, "walk"))
+    block.deps = tuple(_dec_array(c, _INT).tolist() for c in _field(d, "deps"))
+    block.gp = int(_field(d, "gp"))
+    block.dp = int(_field(d, "dp"))
+    block.last = int(_field(d, "last"))
+    return block
+
+
+def _enc_fleet(f: FleetEngine) -> dict:
+    specs = [f.catalog.get(j) for j in f.catalog]
+    return {
+        "catalog": [
+            [encode_value(s.opt_id), s.cost, s.kind, s.description] for s in specs
+        ],
+        "horizon": f.horizon,
+        "shards": len(f.shards),
+        "slot": f.slot,
+        "epoch": f.epoch,
+        "ledger": encode(f.ledger),
+        "events": encode(f.events),
+        "games": [_enc_game(state) for state in f._states],
+        "hot": list(f._hot),
+        "flush": _enc_array(f._flush, _INT),
+        "payments": encode_value(f._payments),
+        "granted_at": encode_value(f._granted_at),
+        "implemented": encode_value(f._implemented),
+        "game_revenue": _enc_array(f._game_revenue, _FLOAT),
+        "users": encode_value(f._users),
+        "ranks": _enc_array(f._ranks, _INT),
+        "columns": [
+            [duration]
+            + [_enc_array(c, dtype) for c, (_, dtype) in zip(group, _COLUMN_TYPES)]
+            for duration, group in f._columns.items()
+        ],
+        "open_start": f._open_start,
+        "blocks": [_enc_block(block) for block in f._blocks],
+        "next": f._next,
+        "handles": [_enc_handle(row, h) for row, h in f._handles.items()],
+        "guarded": f._taken is not None,
+        "revised": f._revised,
+    }
+
+
+def _dec_fleet(d: dict) -> FleetEngine:
+    catalog = OptimizationCatalog()
+    for opt_id, cost, kind, description in _field(d, "catalog"):
+        catalog.register(
+            OptimizationSpec(decode_value(opt_id), cost, str(kind), str(description))
+        )
+    fleet = FleetEngine(
+        catalog, int(_field(d, "horizon")), shards=int(_field(d, "shards"))
+    )
+    fleet.slot = int(_field(d, "slot"))
+    fleet.epoch = int(_field(d, "epoch"))
+    fleet.ledger = decode(_field(d, "ledger"))
+    fleet.events = decode(_field(d, "events"))
+    for state, game in zip(fleet._states, _field(d, "games"), strict=True):
+        _dec_game(state, game)
+    fleet._hot = [bool(hot) for hot in _field(d, "hot")]
+    fleet._flush = _dec_array(_field(d, "flush"), _INT)
+    fleet._payments = _decoded_map(_field(d, "payments"))
+    fleet._granted_at = _decoded_map(_field(d, "granted_at"))
+    fleet._implemented = _decoded_map(_field(d, "implemented"))
+    fleet._game_revenue = _dec_array(_field(d, "game_revenue"), _FLOAT)
+    fleet._users = list(decode_value(_field(d, "users")))
+    fleet._ranks = _dec_array(_field(d, "ranks"), _INT).tolist()
+    fleet._columns = {
+        int(duration): tuple(
+            array(code, _dec_array(c, dtype).tobytes())
+            for c, (code, dtype) in zip(group, _COLUMN_TYPES, strict=True)
+        )
+        for duration, *group in _field(d, "columns")
+    }
+    fleet._open_start = int(_field(d, "open_start"))
+    fleet._blocks = [_dec_block(block) for block in _field(d, "blocks")]
+    fleet._next = int(_field(d, "next"))
+    fleet._handles = dict(_dec_handle(h) for h in _field(d, "handles"))
+    fleet._revised = bool(_field(d, "revised"))
+    if _field(d, "guarded"):
+        fleet._guard()  # rebuilt from the rows: the last row per bid is current
+    return fleet
+
+
 # ------------------------------------------------------------- dispatch --
 
 #: class -> (type tag, encoder, decoder). Order matters only for lookup by
@@ -662,6 +857,7 @@ CODECS: dict[type, tuple[str, Callable, Callable]] = {
     FleetReport: ("FleetReport", _enc_fleet_report, _dec_fleet_report),
     Catalog: ("Catalog", _enc_catalog, _dec_catalog),
     WorkloadLog: ("WorkloadLog", _enc_log, _dec_log),
+    FleetEngine: ("FleetEngine", _enc_fleet, _dec_fleet),
 }
 
 _BY_TAG = {tag: dec for _, (tag, _enc, dec) in CODECS.items()}

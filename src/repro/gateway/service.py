@@ -63,6 +63,7 @@ from repro.errors import (
 )
 from repro import obs
 from repro.fleet.engine import FleetBatch, FleetEngine, FleetReport
+from repro.gateway import codec
 from repro.gateway.envelopes import (
     QUERY_KINDS,
     AdvanceSlots,
@@ -88,7 +89,13 @@ from repro.gateway.envelopes import (
     to_dict,
 )
 
-__all__ = ["PricingService", "TenantSession", "BulkAcks", "SNAPSHOT_RETENTION"]
+__all__ = [
+    "PricingService",
+    "TenantSession",
+    "BulkAcks",
+    "SNAPSHOT_RETENTION",
+    "fingerprint",
+]
 
 #: Catalog snapshots the service retains for ``as_of`` time travel. Each
 #: pinned epoch keeps its tables' buffers alive, so retention is bounded.
@@ -256,14 +263,6 @@ class PricingService:
         self._checkpoint_every: int | None = None
         self._retain_checkpoints: int | None = None
         self._records_since_checkpoint = 0
-        # Ordered envelopes that rebuilt the current fleet: a request, or a
-        # list of requests for one bulk run, stored bare (the history grows
-        # with every served bid, so no wrapper object per entry). The
-        # checkpoint serializes this (at capture time — appends stay O(1)
-        # so the bulk hot path is untaxed) instead of the engine's
-        # internals. None means the fleet arrived via attach_fleet and has
-        # no dispatch history (such a service cannot be checkpointed).
-        self._fleet_history: list | None = []
         self.wal_probe = None  # crash-injection seam (tests/crashpoints.py)
         if fleet is not None:
             if catalog is not None:
@@ -293,33 +292,24 @@ class PricingService:
         if not isinstance(catalog, OptimizationCatalog):
             catalog = OptimizationCatalog.from_costs(dict(catalog))
         self.fleet = FleetEngine(catalog, horizon=horizon, shards=shards)
-        # A new period resets the logical fleet history: this Configure
-        # plus the later fleet mutations fully determine engine state.
-        self._fleet_history = [
-            Configure(
-                optimizations=tuple((j, catalog.get(j).cost) for j in catalog),
-                horizon=horizon,
-                shards=shards,
-            )
-        ]
         return self.fleet
 
     def attach_fleet(self, fleet: FleetEngine) -> FleetEngine:
         """Adopt an externally assembled engine as the current period.
 
         The engine's own duplicate guard covers the bids it already
-        holds. An adopted engine has no dispatch history, so a
-        WAL-attached (durable) service refuses it: its state could never
-        be checkpointed or recovered.
+        holds. A service that adopted its fleet can still be made durable
+        afterwards (:meth:`attach_wal` images the engine in its base
+        checkpoint), but a WAL-attached service refuses an adoption: the
+        log could never replay it.
         """
         if self._wal is not None:
             raise GameConfigError(
                 "a durable (WAL-attached) service must open periods via "
-                "Configure; an externally assembled fleet has no dispatch "
-                "history to checkpoint"
+                "Configure; adopting an externally assembled fleet is not "
+                "a logged envelope the WAL could replay"
             )
         self.fleet = fleet
-        self._fleet_history = None
         return fleet
 
     def _require_fleet(self) -> FleetEngine:
@@ -564,7 +554,6 @@ class PricingService:
             checked.append((optimization, rank, bid))
         for optimization, rank, bid in checked:
             fleet.place_checked(request.tenant, rank, optimization, bid)
-        self._note_fleet_mutation(request)
         return BidsReply(
             tenant=request.tenant, accepted=len(request.bids), slot=fleet.slot
         )
@@ -574,7 +563,6 @@ class PricingService:
         fleet.revise_bid(
             request.tenant, request.optimization, dict(request.new_values)
         )
-        self._note_fleet_mutation(request)
         return ReviseReply(
             tenant=request.tenant,
             optimization=request.optimization,
@@ -597,7 +585,6 @@ class PricingService:
                 f"remain before the horizon {fleet.horizon}"
             )
         fleet.advance_slots(request.slots)
-        self._note_fleet_mutation(request)
         implemented = sorted(
             fleet.implemented.items(), key=lambda kv: str(kv[0])
         )
@@ -767,10 +754,6 @@ class PricingService:
         if self.wal_probe is not None:
             self.wal_probe(stage)
 
-    def _note_fleet_mutation(self, request: Request) -> None:
-        if self._fleet_history is not None:
-            self._fleet_history.append(request)
-
     def attach_wal(
         self,
         directory,
@@ -781,7 +764,8 @@ class PricingService:
         """Make this service durable: every dispatch logs to ``directory``.
 
         Writes a base checkpoint of the *current* state (so state built
-        before attaching — preloaded tables, an open period — is covered)
+        before attaching — preloaded tables, an open period, an adopted
+        fleet — is covered)
         and then appends every accepted envelope to ``wal.jsonl`` before
         its effects apply. ``checkpoint_every`` automatically checkpoints
         after that many WAL records. ``retain_checkpoints=N`` turns on
@@ -798,11 +782,6 @@ class PricingService:
         if self._wal is not None:
             raise GameConfigError(
                 f"a WAL is already attached at {self._wal_dir}"
-            )
-        if self.fleet is not None and self._fleet_history is None:
-            raise RecoveryError(
-                "cannot make this service durable: its fleet was attached "
-                "externally and has no dispatch history to checkpoint"
             )
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -1000,11 +979,23 @@ class PricingService:
             return BulkAcks(
                 requests, fleet.slot, ErrorReply.of(exc, request_kind="SubmitBids")
             )
-        if self._fleet_history is not None:
-            # The caller already must not mutate ``requests`` (the lazy
-            # acks hold it too), so recording the run is one list append.
-            self._fleet_history.append(requests)
         return BulkAcks(requests, fleet.slot, None)
+
+
+def fingerprint(service: PricingService) -> dict:
+    """Every durable surface of a service, in comparable (encoded) form.
+
+    The relational catalog (with its epoch), the workload log, and for an
+    open period its slot plus the encoded fleet report: ledger, event
+    log, payments, grant slots, implementations, per-game revenue and the
+    fleet epoch. Recovery, fault-injection and benchmark parity checks
+    compare services through this one function.
+    """
+    out = {"db": codec.encode(service.db), "log": codec.encode(service.log)}
+    if service.fleet is not None:
+        out["slot"] = service.fleet.slot
+        out["report"] = codec.encode(service.fleet.report())
+    return out
 
 
 class TenantSession:

@@ -7,20 +7,21 @@ config, and the open pricing period — through the existing
 covers (``wal_seq``): recovery loads the newest valid checkpoint and
 replays only the WAL records past that sequence.
 
-The fleet engine is checkpointed *logically*: its internal state (numpy
-schedules, lazy game states) is never serialized. Instead the service
-records the ordered history of fleet-mutating envelopes since the last
-``Configure`` and the checkpoint stores that history plus codec-encoded
-copies of the ledger, event log, slot, and epoch. Restore replays the
-history through a fresh engine — dispatch is deterministic — and then
-*verifies* the rebuilt ledger/events/slot/epoch against the stored
-copies, refusing (:class:`~repro.errors.RecoveryError`) on any
-divergence rather than serving a mispriced period.
+The open period is an exact image of its
+:class:`~repro.fleet.engine.FleetEngine` (the codec's ``FleetEngine``
+entry): bid rows, live blocks with their walk and departure pointers,
+each game's solver internals, payments, grants, ledger and event log.
+Restore decodes that image and dispatches nothing, so recovery costs
+time proportional to the state plus the WAL tail, not to the period
+run so far. The image is built only when a checkpoint is taken; dispatch
+keeps no history for it.
 
 Checkpoint files are written to a temp file, fsync'd, and renamed into
 place, so a crash mid-checkpoint leaves at worst an ignorable ``*.tmp``;
 each file carries a CRC32 over its canonical body and corrupt files make
-recovery fall back to the previous checkpoint.
+recovery fall back to the previous checkpoint. A file of another format
+(format 1 stored envelope history instead of an image) is refused with a
+:class:`~repro.errors.RecoveryError` naming both formats.
 """
 
 from __future__ import annotations
@@ -32,13 +33,12 @@ from pathlib import Path
 
 from repro.errors import RecoveryError, ReproError
 from repro.gateway import codec
-from repro.gateway.envelopes import (
-    API_VERSION,
-    ErrorReply,
-    request_from_dict,
-    to_dict,
+from repro.gateway.envelopes import API_VERSION
+from repro.gateway.wal.records import (
+    checksum,
+    spliced_checksum_ok,
+    with_checksum,
 )
-from repro.gateway.wal.records import checksum, with_checksum
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -50,8 +50,9 @@ __all__ = [
     "restore_service",
 ]
 
-#: Bumped on any incompatible change to the checkpoint document shape.
-CHECKPOINT_FORMAT = 1
+#: Bumped on any incompatible change to the checkpoint document shape
+#: (2: the fleet section is a state image, not an envelope history).
+CHECKPOINT_FORMAT = 2
 
 #: How finished checkpoints are named inside a WAL directory (the
 #: ``*.tmp`` staging twin is deliberately not matched).
@@ -68,14 +69,7 @@ def checkpoint_path(directory, wal_seq: int) -> Path:
 
 def capture_state(service, *, wal_seq: int) -> dict:
     """The service's full durable state as one JSON-able document."""
-    if service.fleet is not None and service._fleet_history is None:
-        raise RecoveryError(
-            "the open period's fleet was attached externally; its "
-            "construction is not in the gateway's dispatch history, so it "
-            "cannot be checkpointed — open periods on a durable service "
-            "with Configure instead"
-        )
-    state: dict = {
+    return {
         "format": CHECKPOINT_FORMAT,
         "api": API_VERSION,
         "wal_seq": int(wal_seq),
@@ -84,25 +78,8 @@ def capture_state(service, *, wal_seq: int) -> dict:
         "advisor_config": asdict(service.advisor_config),
         "db": codec.encode(service.db),
         "log": codec.encode(service.log),
-        "fleet": None,
+        "fleet": None if service.fleet is None else codec.encode(service.fleet),
     }
-    if service.fleet is not None:
-        # The in-memory history holds envelope objects (appends must stay
-        # O(1) on the dispatch hot path); wire form is produced here, once
-        # per checkpoint.
-        state["fleet"] = {
-            "history": [
-                {"requests": [to_dict(r) for r in entry]}
-                if isinstance(entry, list)
-                else {"request": to_dict(entry)}
-                for entry in service._fleet_history
-            ],
-            "slot": service.fleet.slot,
-            "epoch": service.fleet.epoch,
-            "ledger": codec.encode(service.fleet.ledger),
-            "events": codec.encode(service.fleet.events),
-        }
-    return state
 
 
 def write_checkpoint(directory, state: dict, probe=None) -> Path:
@@ -144,7 +121,8 @@ def load_checkpoint(path) -> dict:
     """
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        payload = json.loads(text)
     except (OSError, ValueError, UnicodeDecodeError) as exc:
         raise RecoveryError(
             f"checkpoint {path.name} is unreadable: {exc}"
@@ -152,15 +130,24 @@ def load_checkpoint(path) -> dict:
     if not isinstance(payload, dict):
         raise RecoveryError(f"checkpoint {path.name} is not a JSON object")
     crc = payload.get("crc")
-    body = {key: value for key, value in payload.items() if key != "crc"}
-    if isinstance(crc, bool) or not isinstance(crc, int) or crc != checksum(body):
+    # The written layout verifies from its own bytes; any other layout
+    # (older json.dump files) through a canonical re-serialization.
+    intact = (
+        isinstance(crc, int)
+        and not isinstance(crc, bool)
+        and (
+            spliced_checksum_ok(text, crc)
+            or crc == checksum({k: v for k, v in payload.items() if k != "crc"})
+        )
+    )
+    if not intact:
         raise RecoveryError(
             f"checkpoint {path.name} fails its checksum (corrupt bytes)"
         )
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise RecoveryError(
             f"checkpoint {path.name} has format {payload.get('format')!r}; "
-            f"this build reads format {CHECKPOINT_FORMAT}"
+            f"this build reads only format {CHECKPOINT_FORMAT}"
         )
     if payload.get("api") != API_VERSION:
         raise RecoveryError(
@@ -180,119 +167,44 @@ def load_checkpoint(path) -> dict:
     return payload
 
 
-def replay_history_entry(service, entry) -> None:
-    """Re-dispatch one fleet-history entry; divergence is an error.
-
-    History entries only record envelopes that *succeeded* originally,
-    so an :class:`ErrorReply` (or a failed bulk run) during replay means
-    the checkpoint does not describe the engine it claims to.
-    """
-    if not isinstance(entry, dict) or ("request" in entry) == ("requests" in entry):
-        raise RecoveryError(f"malformed fleet-history entry {entry!r}")
-    try:
-        if "requests" in entry:
-            requests = [request_from_dict(raw) for raw in entry["requests"]]
-            acks = service.dispatch(requests)
-            failed = getattr(acks, "failed", None)
-            if failed is None:
-                failed = next(
-                    (r for r in acks if isinstance(r, ErrorReply)), None
-                )
-            if failed is not None:
-                raise RecoveryError(
-                    f"fleet history replay failed: [{failed.code}] "
-                    f"{failed.message}"
-                )
-        else:
-            reply = service.dispatch(request_from_dict(entry["request"]))
-            if isinstance(reply, ErrorReply):
-                raise RecoveryError(
-                    f"fleet history replay failed: [{reply.code}] "
-                    f"{reply.message}"
-                )
-    except RecoveryError:
-        raise
-    except ReproError as exc:
-        raise RecoveryError(f"fleet history entry does not decode: {exc}") from exc
-
-
 def restore_service(state: dict):
     """A fresh :class:`PricingService` equal to the captured one.
 
-    The relational catalog and workload log restore directly through
-    their codecs; the fleet restores by replaying its logical history and
-    is then verified bit-for-bit (ledger, events, slot, epoch) against
-    the encoded copies stored in the checkpoint.
+    Every section restores directly through its codec — the open period
+    as the exact engine image — so nothing is re-dispatched.
     """
     from repro.advisor import AdvisorConfig
     from repro.db.catalog import Catalog
     from repro.db.costmodel import CostModel
+    from repro.fleet.engine import FleetEngine
     from repro.gateway.service import PricingService
 
     try:
         db = codec.decode(state["db"])
         log = codec.decode(state["log"])
-        cost_model = CostModel(**state["cost_model"])
-        advisor_config = AdvisorConfig(**state["advisor_config"])
+        fleet = None if state.get("fleet") is None else codec.decode(state["fleet"])
+        if not isinstance(db, Catalog):
+            raise RecoveryError(
+                f"checkpoint 'db' decodes to {type(db).__name__}, not a Catalog"
+            )
+        if fleet is not None and not isinstance(fleet, FleetEngine):
+            raise RecoveryError(
+                f"checkpoint 'fleet' decodes to {type(fleet).__name__}, not a "
+                "FleetEngine"
+            )
         service = PricingService(
             db_catalog=db,
-            cost_model=cost_model,
+            cost_model=CostModel(**state["cost_model"]),
             engine_mode=state["engine_mode"],
-            advisor_config=advisor_config,
+            advisor_config=AdvisorConfig(**state["advisor_config"]),
+            fleet=fleet,
         )
     except RecoveryError:
         raise
     except (ReproError, TypeError, ValueError) as exc:
         raise RecoveryError(f"checkpoint does not restore: {exc}") from exc
-    if not isinstance(db, Catalog):
-        raise RecoveryError(
-            f"checkpoint 'db' decodes to {type(db).__name__}, not a Catalog"
-        )
     # The service built its own empty log/engine pair; swap the restored
     # log in everywhere the service references it.
     service.log = log
     service.engine.log = log
-
-    fleet_state = state.get("fleet")
-    if fleet_state is not None:
-        if not isinstance(fleet_state, dict) or not isinstance(
-            fleet_state.get("history"), list
-        ):
-            raise RecoveryError("checkpoint 'fleet' section is malformed")
-        # History replay re-runs Configure + every fleet mutation through
-        # the normal dispatch path (no WAL is attached yet, so nothing is
-        # re-logged); the catalog epoch moves only via the db section, so
-        # pin it across the replay.
-        db_epoch = db.epoch
-        for entry in fleet_state["history"]:
-            replay_history_entry(service, entry)
-        db._epoch = db_epoch
-        rebuilt = {
-            "slot": None if service.fleet is None else service.fleet.slot,
-            "epoch": None if service.fleet is None else service.fleet.epoch,
-        }
-        expected = {
-            "slot": fleet_state.get("slot"),
-            "epoch": fleet_state.get("epoch"),
-        }
-        if rebuilt != expected:
-            raise RecoveryError(
-                f"fleet history replay diverged from the checkpoint: "
-                f"rebuilt {rebuilt}, checkpoint says {expected}"
-            )
-        if service.fleet is None:
-            raise RecoveryError(
-                "checkpoint records an open period but its history holds "
-                "no Configure"
-            )
-        if codec.encode(service.fleet.ledger) != fleet_state.get("ledger"):
-            raise RecoveryError(
-                "fleet history replay diverged from the checkpoint: the "
-                "rebuilt billing ledger does not match the stored copy"
-            )
-        if codec.encode(service.fleet.events) != fleet_state.get("events"):
-            raise RecoveryError(
-                "fleet history replay diverged from the checkpoint: the "
-                "rebuilt event log does not match the stored copy"
-            )
     return service

@@ -39,6 +39,7 @@ __all__ = [
     "decode_record",
     "checksum",
     "with_checksum",
+    "spliced_checksum_ok",
 ]
 
 #: File the write-ahead log lives in, inside a service's WAL directory.
@@ -56,7 +57,9 @@ class JsonlLine:
     when the line is not UTF-8 or not JSON); ``complete`` records whether
     the line carried its trailing newline — a torn final append does not —
     and ``end_offset`` is the byte offset just past the line, which lets
-    recovery truncate a log back to its last valid prefix.
+    recovery truncate a log back to its last valid prefix. ``text`` is the
+    decoded line, so a WAL reader can verify a record's checksum from its
+    own bytes (:func:`decode_record`).
     """
 
     lineno: int
@@ -64,6 +67,7 @@ class JsonlLine:
     error: str | None
     complete: bool
     end_offset: int
+    text: str = ""
 
 
 def iter_jsonl(path) -> Iterator[JsonlLine]:
@@ -94,9 +98,9 @@ def iter_jsonl(path) -> Iterator[JsonlLine]:
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
-            yield JsonlLine(lineno, None, str(exc), complete, end)
+            yield JsonlLine(lineno, None, str(exc), complete, end, text)
             continue
-        yield JsonlLine(lineno, payload, None, complete, end)
+        yield JsonlLine(lineno, payload, None, complete, end, text)
 
 
 # ------------------------------------------------------------- WAL records --
@@ -124,6 +128,23 @@ def with_checksum(payload: dict) -> str:
     canonical = _canonical(payload)
     crc = zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF
     return f'{canonical[:-1]},"crc":{crc}}}'
+
+
+def spliced_checksum_ok(text: str, crc: int) -> bool:
+    """Whether ``text`` is exactly what :func:`with_checksum` wrote for a
+    body whose checksum is ``crc``.
+
+    Checks the text's own bytes, minus the spliced key, instead of a
+    canonical re-serialization of the parsed body, so a verifier skips
+    that ``dumps`` pass for every file still in the written layout.
+    False means only "not in that layout": the caller falls back to
+    :func:`checksum` over the parsed body.
+    """
+    suffix = f',"crc":{crc}}}'
+    if not text.endswith(suffix):
+        return False
+    body = text[: -len(suffix)] + "}"
+    return zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF == crc
 
 
 @dataclass(frozen=True)
@@ -167,13 +188,15 @@ def _int_field(payload: dict, name: str) -> int:
     return value
 
 
-def decode_record(payload) -> WalRecord:
+def decode_record(payload, text: str | None = None) -> WalRecord:
     """Inverse of :func:`encode_record`; checksum and shape verified.
 
     Raises :class:`~repro.errors.RecoveryError` on any framing violation:
     non-object lines, missing or badly typed fields, an envelope body
     that is not exactly one of ``request``/``requests``, or a CRC
-    mismatch (flipped bytes anywhere in the record).
+    mismatch (flipped bytes anywhere in the record). ``text``, the line
+    ``payload`` was parsed from, lets a record in the written layout
+    verify from its own bytes (:func:`spliced_checksum_ok`).
     """
     if not isinstance(payload, dict):
         raise RecoveryError(
@@ -191,8 +214,10 @@ def decode_record(payload) -> WalRecord:
     extra = set(payload) - {"seq", "epoch", "crc", "request", "requests"}
     if extra:
         raise RecoveryError(f"WAL record carries unknown fields {sorted(extra)}")
-    body = {key: value for key, value in payload.items() if key != "crc"}
-    expected = checksum(body)
+    if text is not None and spliced_checksum_ok(text, crc):
+        expected = crc
+    else:
+        expected = checksum({k: v for k, v in payload.items() if k != "crc"})
     if crc != expected:
         raise RecoveryError(
             f"checksum mismatch on WAL record seq {seq}: stored {crc}, "

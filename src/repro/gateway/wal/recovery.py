@@ -68,9 +68,9 @@ def _read_file(path, *, expect_first=None, torn_tail_ok=True):
         return [], 0
     records: list[WalRecord] = []
     valid_bytes = 0
-    lines = list(iter_jsonl(path))
-    for index, line in enumerate(lines):
-        torn_ok = torn_tail_ok and index == len(lines) - 1 and not line.complete
+    for line in iter_jsonl(path):
+        # Only the final line can lack its newline: a torn append.
+        torn_ok = torn_tail_ok and not line.complete
         if line.error is not None:
             if torn_ok:
                 break
@@ -78,7 +78,7 @@ def _read_file(path, *, expect_first=None, torn_tail_ok=True):
                 f"{path.name} line {line.lineno} is corrupt: {line.error}"
             )
         try:
-            record = decode_record(line.payload)
+            record = decode_record(line.payload, line.text)
         except RecoveryError as exc:
             if torn_ok:
                 break
@@ -185,11 +185,11 @@ def read_log(directory) -> WalLog:
 def _replay_record(service, record: WalRecord) -> None:
     """Re-dispatch one WAL record exactly as the crashed run did.
 
-    Unlike checkpointed fleet history, the WAL also logs envelopes whose
-    dispatch *failed* — dispatch is deterministic, so those replay to the
-    same :class:`ErrorReply` and the same (unchanged) state; an error
-    here is not divergence. What must not happen is the record failing to
-    decode at all: that is framing-level corruption.
+    The WAL also logs envelopes whose dispatch *failed* — dispatch is
+    deterministic, so those replay to the same :class:`ErrorReply` and
+    the same (unchanged) state; an error here is not divergence. What
+    must not happen is the record failing to decode at all: that is
+    framing-level corruption.
     """
     try:
         requests = [request_from_dict(raw) for raw in record.requests]

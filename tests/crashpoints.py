@@ -25,7 +25,6 @@ a test module itself.
 
 from __future__ import annotations
 
-from repro.gateway import codec
 from repro.gateway.envelopes import to_dict
 from repro.gateway.wal.recovery import read_log
 
@@ -36,7 +35,6 @@ __all__ = [
     "run_until_crash",
     "durable_requests",
     "continuation",
-    "fingerprint",
 ]
 
 
@@ -129,17 +127,3 @@ def continuation(steps, done: int) -> list:
         seen += width
     return []
 
-
-def fingerprint(service) -> dict:
-    """Every observable durable surface, in comparable (encoded) form."""
-    out = {
-        "db": codec.encode(service.db),
-        "log": codec.encode(service.log),
-        "db_epoch": service.db.epoch,
-    }
-    if service.fleet is not None:
-        out["slot"] = service.fleet.slot
-        out["fleet_epoch"] = service.fleet.epoch
-        out["ledger"] = codec.encode(service.fleet.ledger)
-        out["events"] = codec.encode(service.fleet.events)
-    return out

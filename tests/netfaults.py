@@ -25,7 +25,7 @@ import json
 import socket
 import time
 
-from crashpoints import fingerprint
+from repro.gateway import fingerprint
 from repro.gateway.envelopes import (
     AdvanceSlots,
     Configure,

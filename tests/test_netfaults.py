@@ -6,7 +6,7 @@ baseline; this file interleaves them with a real workload against an
 in-process server and proves, for every fault at every injection point:
 
 1. the final service state is **bit-identical** (via
-   ``crashpoints.fingerprint``) to a serial, fault-free run of exactly
+   ``repro.gateway.fingerprint``) to a serial, fault-free run of exactly
    the envelopes that were supposed to land;
 2. sheds and timeouts come back as *typed* replies — never a hung
    connection, never a silent drop;
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import pytest
 
-from crashpoints import fingerprint
 from netfaults import (
     Stall,
     drive,
@@ -33,7 +32,7 @@ from netfaults import (
     wait_for_dispatched,
     workload,
 )
-from repro.gateway import ErrorReply, PricingService, SubmitBids
+from repro.gateway import ErrorReply, PricingService, SubmitBids, fingerprint
 from repro.gateway.client import GatewayClient
 from repro.gateway.server import ServerConfig, ServerThread
 

@@ -29,7 +29,6 @@ import time
 
 import pytest
 
-from crashpoints import fingerprint
 from netfaults import Stall, drive, serial_fingerprint, workload
 from repro.errors import GameConfigError
 from repro.gateway import (
@@ -43,6 +42,7 @@ from repro.gateway import (
     PricingService,
     RunQuery,
     SubmitBids,
+    fingerprint,
 )
 from repro.gateway.client import GatewayClient, GatewayUnavailable
 from repro.gateway.envelopes import to_dict

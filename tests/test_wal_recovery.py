@@ -7,9 +7,11 @@ ledger, event log, fleet slot — is bit-identical to a service that ran
 the same workload without crashing, and finishing the workload on the
 recovered service yields bit-identical replies. Hypothesis drives the
 workload and the crash point; ``tests/crashpoints.py`` supplies the
-deterministic kill switch.
+deterministic kill switch. A second property checks the fleet's state
+image: recovery from any checkpoint finishes the period exactly as
+recovery from the WAL alone does.
 
-Alongside the property: the all-or-nothing ``BulkAcks`` contract across
+Alongside the properties: the all-or-nothing ``BulkAcks`` contract across
 a mid-bulk crash, corruption fuzzing (torn tails, flipped bytes,
 duplicated/gapped sequences, stale checkpoints — every one a structured
 ``RecoveryError``, never silent state loss), the shared JSONL reader,
@@ -19,6 +21,7 @@ and round-trips for the new Catalog/WorkloadLog codecs.
 from __future__ import annotations
 
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -31,14 +34,14 @@ from crashpoints import (
     SimulatedCrash,
     continuation,
     durable_requests,
-    fingerprint,
     run_steps,
     run_until_crash,
 )
+from repro import obs
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.errors import GameConfigError, RecoveryError
-from repro.gateway import codec
+from repro.gateway import codec, fingerprint
 from repro.gateway.envelopes import (
     API_VERSION,
     AdvanceSlots,
@@ -52,7 +55,13 @@ from repro.gateway.envelopes import (
 )
 from repro.gateway.service import PricingService
 from repro.gateway.trace import iter_trace, replay_path
-from repro.gateway.wal.records import WAL_FILENAME, iter_jsonl
+from repro.gateway.wal.checkpoint import (
+    CHECKPOINT_FORMAT,
+    CHECKPOINT_GLOB,
+    checkpoint_path,
+    load_checkpoint,
+)
+from repro.gateway.wal.records import WAL_FILENAME, iter_jsonl, with_checksum
 
 OPTS = (("idx", 40.0), ("mv", 25.0))
 
@@ -221,6 +230,116 @@ def test_every_crash_point_of_one_workload_recovers():
     assert len(clean.fired) > 10  # the grid is real
     for crash_at in range(len(clean.fired)):
         _assert_recover_equals_serial(steps, crash_at, checkpoint_every=2)
+
+
+# ------------------------- any checkpoint restores what the WAL restores --
+
+
+def _finish(directory, steps) -> tuple:
+    """Recover ``directory``, run ``steps`` and the rest of the period;
+    returns the replies, the final report and the fingerprint."""
+    service = PricingService.recover(directory)
+    try:
+        replies = run_steps(service, steps)
+        report = None if service.fleet is None else service.run_to_end()
+        return replies, report, fingerprint(service)
+    finally:
+        service.close()
+
+
+def _assert_checkpoints_restore_the_wal(steps, split, checkpoint_every):
+    """Recover a directory as written, and a copy holding only the base
+    checkpoint (so recovery replays the whole WAL); both must finish the
+    period identically. A fingerprint at the crash point alone would miss
+    a dropped pending row or solver field: those only show later."""
+    head, rest = steps[:split], steps[split:]
+    with tempfile.TemporaryDirectory() as tmp:
+        as_is = Path(tmp) / "as-is"
+        service = _service()
+        service.attach_wal(as_is, checkpoint_every=checkpoint_every)
+        run_steps(service, head)
+        service.close()
+        wal_only = Path(tmp) / "wal-only"
+        shutil.copytree(as_is, wal_only)
+        for path in wal_only.glob(CHECKPOINT_GLOB):
+            if path != checkpoint_path(wal_only, 0):
+                path.unlink()
+        assert _finish(as_is, rest) == _finish(wal_only, rest)
+
+
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    steps=workloads(),
+    split=st.integers(1, 8),
+    checkpoint_every=st.sampled_from([1, 2, 3]),
+)
+def test_any_checkpoint_restores_what_the_wal_restores(steps, split, checkpoint_every):
+    _assert_checkpoints_restore_the_wal(steps, split, checkpoint_every)
+
+
+@pytest.mark.slow
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    steps=workloads(),
+    split=st.integers(1, 8),
+    checkpoint_every=st.sampled_from([1, 2, 3]),
+)
+def test_any_checkpoint_restores_what_the_wal_restores_full_grid(
+    steps, split, checkpoint_every
+):
+    _assert_checkpoints_restore_the_wal(steps, split, checkpoint_every)
+
+
+def test_a_mid_period_checkpoint_restores_every_kind_of_row():
+    """Every image section live at once: bulk rows, placed and revised
+    rows in several blocks, open rows not yet finalized, hot and cold
+    games, departures behind and ahead."""
+    steps = [
+        Configure(optimizations=OPTS + (("cold", 500.0),), horizon=8),
+        [
+            _submit("ann", "idx", 1, (30.0, 30.0)),
+            _submit("bob", "mv", 2, (10.0, 5.0, 5.0)),
+            _submit("cara", "cold", 1, (5.0,)),
+        ],
+        _submit("dan", "idx", 3, (4.0, 4.0), revisable=True),
+        AdvanceSlots(slots=1),
+        _submit("eve", "mv", 3, (9.0,), revisable=True),
+        ReviseBid(tenant="dan", optimization="idx", new_values=((4, 20.0),)),
+        AdvanceSlots(slots=2),
+        _submit("fay", "idx", 6, (12.0, 12.0), revisable=True),
+        ReviseBid(tenant="eve", optimization="mv", new_values=((5, 30.0),)),
+    ]
+    for split in range(1, len(steps) + 1):
+        _assert_checkpoints_restore_the_wal(steps, split, checkpoint_every=1)
+
+
+def _dispatched() -> float:
+    return sum(
+        value
+        for name, _, _, value in obs.REGISTRY.wire()
+        if name == "repro_dispatch_total"
+    )
+
+
+def test_restoring_a_tail_checkpoint_dispatches_nothing(tmp_path):
+    directory = _durable_run(tmp=tmp_path)
+    service = PricingService.recover(directory)
+    service.checkpoint()
+    live = fingerprint(service)
+    service.close()
+    before = _dispatched()
+    recovered = PricingService.recover(directory)
+    assert _dispatched() == before
+    assert fingerprint(recovered) == live
+    recovered.close()
 
 
 # ------------------------------------------------------ BulkAcks atomicity --
@@ -401,8 +520,7 @@ def test_checkpoint_in_the_json_dump_layout_still_loads(tmp_path):
     # Checkpoints are written as canonical JSON with the CRC spliced on;
     # files from before that change were json.dump'd in capture order
     # with default spacing, and must still verify and recover.
-    from repro.gateway.wal.checkpoint import load_checkpoint
-    from repro.gateway.wal.records import checksum, with_checksum
+    from repro.gateway.wal.records import checksum
 
     def recovered_fingerprint():
         service = PricingService.recover(directory)
@@ -480,6 +598,57 @@ def test_durable_service_refuses_an_externally_attached_fleet():
         with pytest.raises(GameConfigError, match="durable"):
             service.attach_fleet(fleet)
         service.close()
+
+
+def test_an_adopted_pipeline_fleet_becomes_durable(tmp_path):
+    from repro.db import CandidateView, Catalog, CostModel, SavingsEstimator
+    from repro.fleet import TenantWorkload, build_service
+
+    catalog = Catalog()
+    table = Table("events", Schema.of(uid="int", payload="str", kind="int"))
+    table.extend((i, f"p{i}", i % 5) for i in range(400))
+    catalog.create_table(table)
+    service = build_service(
+        SavingsEstimator(catalog, CostModel()),
+        [
+            TenantWorkload(f"tenant-{i}", "events", ("uid", "kind"), 2, 3 + i)
+            for i in range(3)
+        ],
+        [CandidateView("v_uid_kind", "events", ("uid", "kind"))],
+        horizon=6,
+        dollars_per_byte=1e-4,
+    )
+    service.attach_wal(tmp_path)  # the base checkpoint images the fleet
+    replies = run_steps(
+        service,
+        [
+            _submit("late", "v_uid_kind", 3, (0.01, 0.01), revisable=True),
+            AdvanceSlots(slots=2),
+            ReviseBid(
+                tenant="tenant-2", optimization="v_uid_kind", new_values=((6, 12.0),)
+            ),
+            AdvanceSlots(slots=1),
+            LedgerQuery(tenant="tenant-0"),
+        ],
+    )
+    assert not [reply for reply in replies if reply["kind"] == "ErrorReply"]
+    live = fingerprint(service)
+    assert live["report"]["payments"]  # the adopted bids were priced
+    service.close()
+    recovered = PricingService.recover(tmp_path)
+    assert fingerprint(recovered) == live
+    recovered.close()
+
+
+def test_a_format_1_checkpoint_is_refused_naming_both_formats(tmp_path):
+    directory = _durable_run(checkpoint_every=2, tmp=tmp_path)
+    for path in directory.glob(CHECKPOINT_GLOB):
+        state = {k: v for k, v in load_checkpoint(path).items() if k != "crc"}
+        path.write_text(with_checksum({**state, "format": 1}), encoding="utf-8")
+    refusal = f"format 1; this build reads only format {CHECKPOINT_FORMAT}"
+    with pytest.raises(RecoveryError, match=refusal) as caught:
+        PricingService.recover(directory)
+    assert ErrorReply.of(caught.value).code == "recovery"
 
 
 def test_run_to_end_is_logged_and_recoverable():

@@ -229,9 +229,11 @@ class PricingService:
     engine_mode:
         Physical execution strategy of the query engine.
     fleet:
-        Adopt an existing, not-yet-started engine instead of building one
+        Adopt an existing engine, at any slot, instead of building one
         (the workload-to-bid pipeline hands its assembled fleet over this
-        way; mutually exclusive with ``catalog``).
+        way, and recovery its restored state image; mutually exclusive
+        with ``catalog``). :meth:`attach_wal` can make an adopted fleet
+        durable: its base checkpoint images the engine.
     """
 
     def __init__(

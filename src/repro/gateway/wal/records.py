@@ -136,9 +136,9 @@ def spliced_checksum_ok(text: str, crc: int) -> bool:
 
     Checks the text's own bytes, minus the spliced key, instead of a
     canonical re-serialization of the parsed body, so a verifier skips
-    that ``dumps`` pass for every file still in the written layout.
-    False means only "not in that layout": the caller falls back to
-    :func:`checksum` over the parsed body.
+    that ``dumps`` pass. False means the text is corrupt or not in the
+    written layout; a checkpoint reader accepts the older ``json.dump``
+    layout through :func:`checksum` over the parsed body.
     """
     suffix = f',"crc":{crc}}}'
     if not text.endswith(suffix):
@@ -188,15 +188,16 @@ def _int_field(payload: dict, name: str) -> int:
     return value
 
 
-def decode_record(payload, text: str | None = None) -> WalRecord:
+def decode_record(payload, text: str) -> WalRecord:
     """Inverse of :func:`encode_record`; checksum and shape verified.
 
-    Raises :class:`~repro.errors.RecoveryError` on any framing violation:
+    ``text`` is the line ``payload`` was parsed from: the record's CRC
+    is verified from those bytes (:func:`spliced_checksum_ok`), the
+    layout :func:`encode_record` writes. Raises
+    :class:`~repro.errors.RecoveryError` on any framing violation:
     non-object lines, missing or badly typed fields, an envelope body
     that is not exactly one of ``request``/``requests``, or a CRC
-    mismatch (flipped bytes anywhere in the record). ``text``, the line
-    ``payload`` was parsed from, lets a record in the written layout
-    verify from its own bytes (:func:`spliced_checksum_ok`).
+    mismatch (flipped bytes anywhere in the record).
     """
     if not isinstance(payload, dict):
         raise RecoveryError(
@@ -214,14 +215,10 @@ def decode_record(payload, text: str | None = None) -> WalRecord:
     extra = set(payload) - {"seq", "epoch", "crc", "request", "requests"}
     if extra:
         raise RecoveryError(f"WAL record carries unknown fields {sorted(extra)}")
-    if text is not None and spliced_checksum_ok(text, crc):
-        expected = crc
-    else:
-        expected = checksum({k: v for k, v in payload.items() if k != "crc"})
-    if crc != expected:
+    if not spliced_checksum_ok(text, crc):
         raise RecoveryError(
-            f"checksum mismatch on WAL record seq {seq}: stored {crc}, "
-            f"computed {expected} (corrupt bytes)"
+            f"checksum mismatch on WAL record seq {seq}: stored {crc} "
+            f"(corrupt bytes)"
         )
     if has_batch:
         requests = payload["requests"]

@@ -331,7 +331,10 @@ def _dispatched() -> float:
 
 def test_restoring_a_tail_checkpoint_dispatches_nothing(tmp_path):
     directory = _durable_run(tmp=tmp_path)
+    before = _dispatched()
     service = PricingService.recover(directory)
+    # Positive control: replaying the WAL alone moves the counter.
+    assert _dispatched() > before
     service.checkpoint()
     live = fingerprint(service)
     service.close()

@@ -111,7 +111,6 @@ BULK_TAIL_SCALE = harness.scale((200, 1_000_000, 2000), (10, 2000, 50))
 #: Maximum tolerated WAL-on/WAL-off wall-clock overhead at the bar scale.
 OVERHEAD_CEILING = 0.10
 SEED = 2012
-SHARDS = 8
 MAX_DURATION = 4
 MEAN_COST = 30.0
 HALO_GROUPS = 400
@@ -201,7 +200,7 @@ def measure_steady_point(
     catalog = OptimizationCatalog.from_costs(costs)
 
     def _build(wal_dir: Path | None) -> PricingService:
-        service = PricingService(catalog, horizon=slots, shards=SHARDS)
+        service = PricingService(catalog, horizon=slots)
         service.db.create_table(_snapshot_table(table_rows))
         # Warm the snapshot table (first scan seals the columnar shadow,
         # a one-time cost that would otherwise swamp round timings) —
@@ -273,7 +272,7 @@ def measure_recovery_point(records: int) -> float:
     trace = fleet_arrival_trace(SEED + 1, records, games, slots, MAX_DURATION)
     catalog = OptimizationCatalog.from_costs(costs)
     with tempfile.TemporaryDirectory() as tmp:
-        service = PricingService(catalog, horizon=slots, shards=2)
+        service = PricingService(catalog, horizon=slots)
         service.attach_wal(Path(tmp))
         for request in _intake(trace):
             reply = service.dispatch(request)
@@ -417,7 +416,7 @@ def measure_bulk_tail(games: int, users: int, slots: int) -> dict:
     )
     with tempfile.TemporaryDirectory() as tmp:
         live_dir = Path(tmp) / "live"
-        service = PricingService(costs, horizon=slots, shards=SHARDS)
+        service = PricingService(costs, horizon=slots)
         service.attach_wal(live_dir)
         if service.dispatch(intake).failed is not None:
             raise AssertionError("bulk intake failed")

@@ -1,11 +1,9 @@
 """CI gate: fail when the bench trajectory regresses.
 
 Compares every fresh result under ``benchmarks/results/*.json`` against
-the committed trajectory baselines (``BENCH_PR10.json`` first, falling
-back to ``BENCH_PR6.json``/``BENCH_PR4.json``/``BENCH_PR3.json`` for
-benchmarks that predate it) and exits
-non-zero when a benchmark's headline speedup fell more than the allowed
-tolerance (default 20%) below its baseline.
+the committed trajectory (``BENCH.json`` at ``HEAD``) and exits non-zero
+when a benchmark's headline speedup fell more than the allowed tolerance
+(default 20%) below its baseline.
 
 A comparison is only *strict* when it is meaningful:
 
@@ -62,13 +60,12 @@ def _committed_text(path: Path) -> str | None:
 def load_baselines(paths, committed: bool = False) -> dict:
     """Merged ``{key: entry}`` from the trajectory files.
 
-    Earlier paths win: the newest committed trajectory is authoritative,
-    older ones only cover benchmarks it does not record yet. With
-    ``committed=True`` each path is read as of ``HEAD`` (falling back to
-    the working-tree file outside a git checkout) — ``harness.record``
-    rewrites the live trajectory *during* a benchmark run, and comparing
-    fresh results against their own just-written numbers would make the
-    gate a no-op.
+    Earlier paths win: a key found in one file is not read again from a
+    later one. With ``committed=True`` each path is read as of ``HEAD``
+    (falling back to the working-tree file outside a git checkout) —
+    ``harness.record`` rewrites the live trajectory *during* a benchmark
+    run, and comparing fresh results against their own just-written
+    numbers would make the gate a no-op.
     """
     merged: dict = {}
     for path in paths:
@@ -96,7 +93,7 @@ def check_entry(
     if baseline is None:
         if smoke:
             return True, f"sanity only (no baseline yet): speedup {speedup}"
-        return False, "no committed baseline — record one in BENCH_PR10.json"
+        return False, "no committed baseline — record one in BENCH.json"
 
     strict = (
         fresh.get("n") == baseline.get("n")
@@ -131,8 +128,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--baselines", type=Path, nargs="+", default=None,
         help="trajectory files, newest first (default: the committed "
-        "HEAD versions of BENCH_PR10.json, BENCH_PR6.json, BENCH_PR4.json and "
-        "BENCH_PR3.json)",
+        "HEAD version of BENCH.json)",
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.2,
@@ -145,9 +141,9 @@ def main(argv=None) -> int:
         print(f"no fresh results under {args.results} — run the benchmarks first")
         return 2
     if args.baselines is None:
-        # Default: the committed trajectories — the working-tree copy was
+        # Default: the committed trajectory — the working-tree copy was
         # just rewritten by the benchmark run being judged.
-        baselines = load_baselines(harness.BASELINE_PATHS, committed=True)
+        baselines = load_baselines([harness.TRAJECTORY_PATH], committed=True)
     else:
         baselines = load_baselines(args.baselines)
 

@@ -2,13 +2,11 @@
 
 Every speedup benchmark records its result through :func:`record`, which
 writes one JSON file per benchmark under ``benchmarks/results/`` and
-merges the same entry into the top-level ``BENCH_PR10.json`` so the
+merges the same entry into the top-level ``BENCH.json`` so the
 repository carries a machine-readable trajectory (speedup, scale, seed,
-commit) rather than only ad-hoc text tables. Earlier committed
-trajectories (``BENCH_PR6.json``, ``BENCH_PR4.json``, ``BENCH_PR3.json``)
-stay in place as regression baselines:
-``benchmarks/check_regression.py`` compares fresh results against them
-and fails CI on a >20% speedup regression.
+commit) rather than only ad-hoc text tables. Its committed version is
+the regression baseline: ``benchmarks/check_regression.py`` compares
+fresh results against it and fails CI on a >20% speedup regression.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``) is for CI: benchmarks shrink their
 scales via :func:`scale` and skip their perf-floor assertions (see
@@ -29,7 +27,6 @@ from pathlib import Path
 __all__ = [
     "RESULTS_DIR",
     "TRAJECTORY_PATH",
-    "BASELINE_PATHS",
     "smoke",
     "scale",
     "enforce_floors",
@@ -38,15 +35,7 @@ __all__ = [
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
-TRAJECTORY_PATH = ROOT / "BENCH_PR10.json"
-
-#: Committed trajectories, newest first — the regression-gate baselines.
-BASELINE_PATHS = (
-    ROOT / "BENCH_PR10.json",
-    ROOT / "BENCH_PR6.json",
-    ROOT / "BENCH_PR4.json",
-    ROOT / "BENCH_PR3.json",
-)
+TRAJECTORY_PATH = ROOT / "BENCH.json"
 
 
 def smoke() -> bool:

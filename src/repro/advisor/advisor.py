@@ -40,7 +40,6 @@ class AdvisorConfig:
     horizon: int = 12
     dollars_per_byte: float = 1e-6
     runs_per_slot: float = 1.0
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -153,7 +152,6 @@ class OptimizationAdvisor:
             list(candidates.candidates),
             horizon=self.config.horizon,
             dollars_per_byte=self.config.dollars_per_byte,
-            shards=self.config.shards,
         )
 
     # ----------------------------------------------------------- adoption --

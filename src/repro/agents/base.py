@@ -68,8 +68,3 @@ class SubstitutableAgent(ABC):
             realized = max(realized, value)
         paid = sum(outcome.payment(identity) for identity in identities)
         return realized - paid
-
-
-def _single(user: UserId, bid) -> dict:
-    """Helper for single-identity agents."""
-    return {user: bid}

@@ -182,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--mean-cost", type=float, default=30.0, help="mean per-game cost"
     )
-    fleet.add_argument("--shards", type=int, default=8, help="fleet shard count")
     fleet.add_argument(
         "--repeats", type=int, default=2, help="timing repeats (best-of)"
     )
@@ -375,7 +374,6 @@ def _run_fleet(args) -> int:
             slots=args.slots,
             max_duration=args.duration,
             mean_cost=args.mean_cost,
-            shards=args.shards,
             repeats=args.repeats,
             seed=args.seed,
         )
@@ -393,7 +391,6 @@ def _run_fleet(args) -> int:
         slots=args.slots,
         max_duration=args.duration,
         mean_cost=args.mean_cost,
-        shards=args.shards,
         repeats=args.repeats,
         seed=args.seed,
     )

@@ -33,11 +33,6 @@ def _ragged_take(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, counts) + np.arange(total)
 
 
-def _py(value):
-    """A numpy scalar as its plain Python equivalent."""
-    return value.item() if isinstance(value, np.generic) else value
-
-
 class HashIndex:
     """An equality index mapping key values to row ids.
 

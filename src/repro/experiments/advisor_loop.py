@@ -40,7 +40,6 @@ class AdvisorLoopConfig:
     engine_mode: str = "auto"
     horizon: int = 12
     dollars_per_byte: float = 1e-6
-    shards: int = 2
 
     def __post_init__(self) -> None:
         if self.snapshots < 2:
@@ -165,7 +164,6 @@ def run_advisor_loop(
         AdviseRequest(
             horizon=config.horizon,
             dollars_per_byte=config.dollars_per_byte,
-            shards=config.shards,
         )
     )
     if isinstance(reply, ErrorReply):

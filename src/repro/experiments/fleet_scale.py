@@ -47,7 +47,6 @@ class FleetScaleConfig:
     slots: int = 1000
     max_duration: int = 4
     mean_cost: float = 30.0
-    shards: int = 8
     repeats: int = 2
     seed: int = 2012
 
@@ -89,7 +88,6 @@ def measure_fleet_point(
     slots: int,
     max_duration: int = 4,
     mean_cost: float = 30.0,
-    shards: int = 8,
     repeats: int = 2,
     seed: int = 2012,
 ) -> FleetPoint:
@@ -127,7 +125,7 @@ def measure_fleet_point(
 
     def run_fleet(per_bid: bool):
         started = time.perf_counter()
-        engine = FleetEngine(catalog, horizon=slots, shards=shards)
+        engine = FleetEngine(catalog, horizon=slots)
         if per_bid:
             for arrival in trace:
                 engine.place_bid(arrival.user, arrival.optimization, arrival.bid)
@@ -175,7 +173,6 @@ def measure_gateway_point(
     slots: int,
     max_duration: int = 4,
     mean_cost: float = 30.0,
-    shards: int = 8,
     repeats: int = 2,
     seed: int = 2012,
 ) -> tuple[float, float]:
@@ -189,13 +186,15 @@ def measure_gateway_point(
     *gateway* side dispatches one pre-built ``SubmitBids`` envelope per
     user through one batched :meth:`~repro.gateway.PricingService.dispatch`
     (which does the identical regrouping behind the facade) and runs the
-    same period through it. Reports are asserted bit-identical —
+    same period through it. Both reports are asserted bit-identical to
+    the report of pre-built :func:`~repro.workloads.fleet.fleet_batches`
+    intake, compared in encoded form (:func:`repro.gateway.codec.encode`:
     payments, grants, implementations, per-game revenue, the ledger and
-    the event log — against each other *and* against pre-built
-    :func:`~repro.workloads.fleet.fleet_batches` intake, before any
-    timing is trusted. ``benchmarks/bench_gateway.py`` turns the ratio
-    into the <15% dispatch-overhead gate.
+    the event log), before any timing is trusted.
+    ``benchmarks/bench_gateway.py`` turns the ratio into the <15%
+    dispatch-overhead gate.
     """
+    from repro.gateway import codec
     from repro.gateway.envelopes import SubmitBids
     from repro.gateway.service import PricingService
 
@@ -231,11 +230,7 @@ def measure_gateway_point(
 
     def run_direct():
         def run():
-            engine = FleetEngine(
-                OptimizationCatalog.from_costs(costs),
-                horizon=slots,
-                shards=shards,
-            )
+            engine = FleetEngine(OptimizationCatalog.from_costs(costs), horizon=slots)
             rank_get = engine.rank_map.get
             columns: dict[int, tuple] = {}
             for arrival in trace:
@@ -265,9 +260,7 @@ def measure_gateway_point(
     def run_gateway():
         def run():
             service = PricingService(
-                OptimizationCatalog.from_costs(costs),
-                horizon=slots,
-                shards=shards,
+                OptimizationCatalog.from_costs(costs), horizon=slots
             )
             acks = service.dispatch(requests)
             if getattr(acks, "failed", None) is not None:
@@ -279,33 +272,25 @@ def measure_gateway_point(
     # Pre-built batches are the engine's native intake; the sweep below
     # must match them bit for bit, proving neither columnarization path
     # (direct-from-records or gateway-from-envelopes) drifts.
-    reference = FleetEngine(
-        OptimizationCatalog.from_costs(costs), horizon=slots, shards=shards
-    )
+    reference = FleetEngine(OptimizationCatalog.from_costs(costs), horizon=slots)
     for batch in batches:
         reference.ingest(batch)
-    reference_report = reference.run_to_end()
+    expected = codec.encode(reference.run_to_end())
 
     direct_s, direct_report = run_direct()
     gateway_s, gateway_report = run_gateway()
-    _assert_reports_equal(reference_report, direct_report, "direct-from-records")
-    _assert_reports_equal(direct_report, gateway_report, "gateway")
-    del reference_report, direct_report, gateway_report
+    for label, report in (
+        ("direct-from-records", direct_report),
+        ("gateway", gateway_report),
+    ):
+        if codec.encode(report) != expected:
+            raise AssertionError(f"{label} report diverges from batch intake")
+    del expected, direct_report, gateway_report
     gc.collect()
     for _ in range(repeats - 1):
         direct_s = min(direct_s, run_direct()[0])
         gateway_s = min(gateway_s, run_gateway()[0])
     return direct_s, gateway_s
-
-
-def _assert_reports_equal(expected, actual, label: str) -> None:
-    for field in ("payments", "granted_at", "implemented", "game_revenue"):
-        if dict(getattr(expected, field)) != dict(getattr(actual, field)):
-            raise AssertionError(f"{label} {field} diverge from the direct fleet")
-    if expected.ledger != actual.ledger:
-        raise AssertionError(f"{label} ledger diverges from the direct fleet")
-    if expected.events != actual.events:
-        raise AssertionError(f"{label} event log diverges from the direct fleet")
 
 
 def _assert_identical(service_reports: dict, fleet_report) -> None:
@@ -340,7 +325,6 @@ def run_fleet_scale(config: FleetScaleConfig = FleetScaleConfig()) -> Experiment
             slots=config.slots,
             max_duration=config.max_duration,
             mean_cost=config.mean_cost,
-            shards=config.shards,
             repeats=config.repeats,
             seed=config.seed,
         )

@@ -18,13 +18,13 @@ the whole fleet's arrivals and departures per slot:
 * **Blocks.** The rows added since the last finalization form one
   block, finalized in numpy into a schedule of its own when the slot the
   earliest of them starts at is advanced: entries lexsorted by ``(slot,
-  shard order)``, consumed by advancing a pointer, not by scanning
-  per-game state. A slot walks every live block; a game present in
-  several merges their changes in row order, so a superseding row always
-  wins. Finished blocks are dropped, and beyond a few live blocks the
-  newest is merged into its predecessor when their sizes are within a
-  factor of two, so bids placed across the period leave a logarithmic
-  number of blocks to walk.
+  rank)``, consumed by advancing a pointer, not by scanning per-game
+  state. A slot walks every live block; a game present in several merges
+  their changes in row order, so a superseding row always wins. Finished
+  blocks are dropped, and beyond a few live blocks the newest is merged
+  into its predecessor when their sizes are within a factor of two, so
+  bids placed across the period leave a logarithmic number of blocks to
+  walk.
 * **Lazy games.** A game's sorted mechanism engine is not materialized
   until its bids could conceivably cover its cost. The proof is the same
   sound feasibility gate as
@@ -43,11 +43,10 @@ the whole fleet's arrivals and departures per slot:
   the ledger and event log are shared by every game.
 
 Determinism is contractual (see DESIGN.md "Fleet conventions"): within a
-slot, games step in shard-major order (:class:`~repro.fleet.shard.ShardMap`),
-same-slot grants of one game are emitted in a fixed (type name, string)
-user order, and departures are invoiced in row order, so a fixed
-trace replays to an identical event log regardless of how its changes
-were discovered.
+slot, games step in ascending catalog rank, same-slot grants of one game
+are emitted in a fixed (type name, string) user order, and departures are
+invoiced in row order, so a fixed trace replays to an identical event log
+regardless of how its changes were discovered.
 
 A game is *cold* until its flush slot, then *hot*: at the flush its
 profile is rebuilt from every block and handed to the game's
@@ -84,7 +83,6 @@ from repro.core.fastshapley import GATE_SLACK as _GATE_SLACK
 from repro.core.online import AddOnState
 from repro.core.outcome import OptId, UserId
 from repro.errors import BidError, GameConfigError, MechanismError, ProtocolError
-from repro.fleet.shard import ShardMap
 
 __all__ = ["FleetBatch", "FleetEngine", "FleetReport"]
 
@@ -187,7 +185,7 @@ class _Block:
     """One finalized block of rows: its schedule, gate profile and walk.
 
     ``rows``/``vals`` are its schedule entries (row index, residual) in
-    walk order — ``(slot, shard order, row)``. Runs of equal
+    walk order — ``(slot, rank, row)``. Runs of equal
     ``(slot, rank)`` form groups: group ``g`` spans entries
     ``gbound[g]:gbound[g + 1]``. ``by_rank`` lists the groups in
     ``(rank, slot)`` order, ``offsets`` cutting it per game; ``gkey``
@@ -249,13 +247,9 @@ class FleetEngine:
         The fleet's optimizations; one independent AddOn game each.
     horizon:
         Number of slots in the shared amortization period ``T``.
-    shards:
-        Shard count for the deterministic slot-processing order.
     """
 
-    def __init__(
-        self, catalog: OptimizationCatalog, horizon: int, shards: int = 1
-    ) -> None:
+    def __init__(self, catalog: OptimizationCatalog, horizon: int) -> None:
         if horizon < 1:
             raise GameConfigError(f"horizon must be >= 1, got {horizon}")
         if len(catalog) == 0:
@@ -275,9 +269,6 @@ class FleetEngine:
         self.events = EventLog()
         self._opt_ids: list = list(catalog)
         self._rank_of: dict = {j: r for r, j in enumerate(self._opt_ids)}
-        self._shards = ShardMap(len(self._opt_ids), shards)
-        self._proc_rank = self._shards.process_rank
-        self._proc = np.asarray(self._proc_rank, dtype=np.int64)
         self._states = [AddOnState(catalog.get(j).cost) for j in self._opt_ids]
         self._cost_of = np.array([catalog.get(j).cost for j in self._opt_ids])
         # Group key ``rank * span + slot``: slots run 1 .. horizon + 1.
@@ -313,11 +304,6 @@ class FleetEngine:
         self._revised = False  # rows are superseded only by revisions
 
     # ------------------------------------------------------------- intake --
-
-    @property
-    def shards(self) -> ShardMap:
-        """The fleet's shard map (processing-order contract)."""
-        return self._shards
 
     def rank_of(self, optimization: OptId) -> int:
         """Catalog rank of one optimization (bulk batches address by rank)."""
@@ -650,13 +636,13 @@ class FleetEngine:
         """A block of the entries and departures given in row order.
 
         Also returns the walk-order permutation of the entries and the
-        group starts within it. Entries are lexsorted by ``(slot, shard
-        order)``, groups indexed per game, and departures put in slot
-        order, row order within a slot.
+        group starts within it. Entries are lexsorted by ``(slot, rank)``,
+        groups indexed per game, and departures put in slot order, row
+        order within a slot.
         """
         n_games = len(self._opt_ids)
         # Single combined-key stable argsorts beat two-pass lexsorts here.
-        order = np.argsort(slots * n_games + self._proc[ranks], kind="stable")
+        order = np.argsort(slots * n_games + ranks, kind="stable")
         slots_s, ranks_s = slots[order], ranks[order]
         # Group boundaries: runs of equal (slot, rank) in slot order.
         boundary = np.empty(len(slots_s), dtype=bool)
@@ -766,13 +752,12 @@ class FleetEngine:
         return t
 
     def _walk(self, t: int) -> None:
-        """Step every game with a walked group at slot ``t``, shard-major.
+        """Step every game with a walked group at slot ``t``, in rank order.
 
         A game with groups in several blocks gets one merged change set,
         later blocks (later rows) winning. A cold game's first walked
         group is its flush.
         """
-        proc = self._proc_rank
         steps: list = []
         for block in self._blocks:
             wslot, wrank, wlo, whi = block.walk
@@ -780,7 +765,7 @@ class FleetEngine:
             n = len(wslot)
             while gp < n and wslot[gp] == t:
                 rank = wrank[gp]
-                steps.append((proc[rank], rank, block, wlo[gp], whi[gp]))
+                steps.append((rank, block, wlo[gp], whi[gp]))
                 gp += 1
             block.gp = gp
         if len(self._blocks) > 1:
@@ -789,16 +774,16 @@ class FleetEngine:
         i = 0
         n = len(steps)
         while i < n:
-            _, rank, block, lo, hi = steps[i]
+            rank, block, lo, hi = steps[i]
             i += 1
             if not hot[rank]:
-                while i < n and steps[i][1] == rank:
+                while i < n and steps[i][0] == rank:
                     i += 1  # the flush reads every block's entries itself
                 self._go_hot(t, rank)
                 continue
             changes = dict(self._entries(block.rows[lo:hi], block.vals[lo:hi]))
-            while i < n and steps[i][1] == rank:
-                _, _, block, lo, hi = steps[i]
+            while i < n and steps[i][0] == rank:
+                _, block, lo, hi = steps[i]
                 i += 1
                 changes.update(self._entries(block.rows[lo:hi], block.vals[lo:hi]))
             self._apply_hot(t, rank, changes)

@@ -186,7 +186,6 @@ def build_fleet(
     candidates: Sequence[Candidate],
     horizon: int,
     dollars_per_byte: float,
-    shards: int = 1,
 ) -> FleetEngine:
     """Assemble a fleet whose bids are workload-derived savings.
 
@@ -205,7 +204,7 @@ def build_fleet(
     catalog = candidate_catalog(
         estimator, candidates, dollars_per_byte, quotes=quotes
     )
-    engine = FleetEngine(catalog, horizon=horizon, shards=shards)
+    engine = FleetEngine(catalog, horizon=horizon)
     for workload in workloads:
         if workload.end > horizon:
             raise GameConfigError(
@@ -227,7 +226,6 @@ def build_service(
     candidates: Sequence[Candidate],
     horizon: int,
     dollars_per_byte: float,
-    shards: int = 1,
 ):
     """:func:`build_fleet`, handed over behind the gateway facade.
 
@@ -240,9 +238,7 @@ def build_service(
     # Imported lazily: the gateway sits above the fleet in the layering.
     from repro.gateway.service import PricingService
 
-    engine = build_fleet(
-        estimator, workloads, candidates, horizon, dollars_per_byte, shards
-    )
+    engine = build_fleet(estimator, workloads, candidates, horizon, dollars_per_byte)
     return PricingService(
         db_catalog=estimator.catalog,
         cost_model=estimator.model,

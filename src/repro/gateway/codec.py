@@ -658,9 +658,9 @@ def _dec_log(d: dict) -> WorkloadLog:
 # would have, and restore re-dispatches nothing. Arrays travel as base64
 # of their little-endian bytes; user ids and user-keyed maps go through
 # encode_value, the ledger and event log through their own codecs.
-# Derived state (rank maps, shard order, a solver's sorted bid array) is
-# rebuilt; running sums such as a solver's bid total are stored, never
-# summed again, so float drift carries over bit for bit.
+# Derived state (rank maps, a solver's sorted bid array) is rebuilt;
+# running sums such as a solver's bid total are stored, never summed
+# again, so float drift carries over bit for bit.
 
 _INT, _FLOAT = "<i8", "<f8"
 
@@ -771,7 +771,6 @@ def _enc_fleet(f: FleetEngine) -> dict:
             [encode_value(s.opt_id), s.cost, s.kind, s.description] for s in specs
         ],
         "horizon": f.horizon,
-        "shards": len(f.shards),
         "slot": f.slot,
         "epoch": f.epoch,
         "ledger": encode(f.ledger),
@@ -805,9 +804,7 @@ def _dec_fleet(d: dict) -> FleetEngine:
         catalog.register(
             OptimizationSpec(decode_value(opt_id), cost, str(kind), str(description))
         )
-    fleet = FleetEngine(
-        catalog, int(_field(d, "horizon")), shards=int(_field(d, "shards"))
-    )
+    fleet = FleetEngine(catalog, int(_field(d, "horizon")))
     fleet.slot = int(_field(d, "slot"))
     fleet.epoch = int(_field(d, "epoch"))
     fleet.ledger = decode(_field(d, "ledger"))

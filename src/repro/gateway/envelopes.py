@@ -11,7 +11,7 @@ Wire shape
 ----------
 A serialized envelope is a flat JSON object::
 
-    {"api": "1.8", "kind": "SubmitBids", "tenant": "ann", "bids": [...]}
+    {"api": "1.9", "kind": "SubmitBids", "tenant": "ann", "bids": [...]}
 
 ``api`` is :data:`API_VERSION` (checked on decode; a mismatch raises
 :class:`~repro.errors.ProtocolError` with code ``"version"``), ``kind``
@@ -95,7 +95,10 @@ __all__ = [
 #: 1.8 made every fleet bid a row of one columnar store: same-slot
 #: departures follow one row order across bulk and per-bid intake, which
 #: changes the event log and ledger of mixed-intake periods.
-API_VERSION = "1.8"
+#: 1.9 deleted the fleet's shard count: games step in catalog order
+#: within a slot, and a :class:`Configure` or :class:`AdviseRequest` that
+#: still carries ``shards`` is refused as an unknown field.
+API_VERSION = "1.9"
 
 #: Query kinds :class:`RunQuery` accepts (the astronomy workload surface).
 QUERY_KINDS = ("members", "histogram", "top", "chain", "contributors")
@@ -160,7 +163,6 @@ class Configure(Request):
 
     optimizations: tuple
     horizon: int
-    shards: int = 1
 
     def _normalize(self) -> None:
         # Coercion doubles as wire-side type checking: a badly-typed
@@ -174,7 +176,6 @@ class Configure(Request):
             ),
         )
         object.__setattr__(self, "horizon", int(self.horizon))
-        object.__setattr__(self, "shards", int(self.shards))
 
 
 @dataclass(frozen=True)
@@ -291,14 +292,12 @@ class AdviseRequest(Request):
     horizon: int | None = None
     dollars_per_byte: float | None = None
     runs_per_slot: float | None = None
-    shards: int | None = None
 
     def _normalize(self) -> None:
         for name, cast in (
             ("horizon", int),
             ("dollars_per_byte", float),
             ("runs_per_slot", float),
-            ("shards", int),
         ):
             value = getattr(self, name)
             if value is not None:
@@ -330,12 +329,10 @@ class MetricsRequest(Request):
 
 @dataclass(frozen=True)
 class ConfigReply(Reply):
-    """The period is open: game count, horizon and shard count echoed
-    back."""
+    """The period is open: game count and horizon echoed back."""
 
     games: int
     horizon: int
-    shards: int
 
 
 @dataclass(frozen=True)

@@ -219,8 +219,6 @@ class PricingService:
         open the period later via a :class:`Configure` request.
     horizon:
         Slots in the period (required with ``catalog``).
-    shards:
-        Fleet shard count for the deterministic processing order.
     db_catalog:
         The relational catalog queries run against (fresh and empty when
         omitted).
@@ -240,7 +238,6 @@ class PricingService:
         self,
         catalog: OptimizationCatalog | Mapping | None = None,
         horizon: int | None = None,
-        shards: int = 1,
         db_catalog: Catalog | None = None,
         cost_model: CostModel | None = None,
         engine_mode: str = "auto",
@@ -276,7 +273,7 @@ class PricingService:
         elif catalog is not None:
             if horizon is None:
                 raise GameConfigError("opening a period needs a horizon")
-            self.configure(catalog, horizon, shards)
+            self.configure(catalog, horizon)
 
     # ------------------------------------------------------------- period --
 
@@ -284,7 +281,6 @@ class PricingService:
         self,
         catalog: OptimizationCatalog | Mapping,
         horizon: int,
-        shards: int = 1,
     ) -> FleetEngine:
         """Open a (new) pricing period over ``catalog``.
 
@@ -293,7 +289,7 @@ class PricingService:
         """
         if not isinstance(catalog, OptimizationCatalog):
             catalog = OptimizationCatalog.from_costs(dict(catalog))
-        self.fleet = FleetEngine(catalog, horizon=horizon, shards=shards)
+        self.fleet = FleetEngine(catalog, horizon=horizon)
         return self.fleet
 
     def attach_fleet(self, fleet: FleetEngine) -> FleetEngine:
@@ -527,12 +523,8 @@ class PricingService:
                         f"optimization {optimization!r} listed twice"
                     )
                 costs[optimization] = cost
-            fleet = self.configure(costs, request.horizon, request.shards)
-            return ConfigReply(
-                games=len(fleet.catalog),
-                horizon=fleet.horizon,
-                shards=len(fleet.shards),
-            )
+            fleet = self.configure(costs, request.horizon)
+            return ConfigReply(games=len(fleet.catalog), horizon=fleet.horizon)
         raise ProtocolError(
             f"{type(request).__name__} is not a dispatchable request"
         )
@@ -709,7 +701,6 @@ class PricingService:
                 if request.runs_per_slot is None
                 else request.runs_per_slot
             ),
-            shards=base.shards if request.shards is None else request.shards,
         )
         advisor = OptimizationAdvisor(self.db, self.cost_model, config)
         outcome = advisor.advise(self.log)

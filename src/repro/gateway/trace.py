@@ -4,10 +4,10 @@ A trace is one request envelope per line, in wire form (see
 :mod:`repro.gateway.envelopes`). The first line is normally a
 ``Configure`` envelope so the trace is self-contained::
 
-    {"api": "1.8", "kind": "Configure", "optimizations": [["idx", 40.0]], "horizon": 4, "shards": 1}
-    {"api": "1.8", "kind": "SubmitBids", "tenant": "ann", "bids": [["idx", 1, [30.0, 30.0]]]}
-    {"api": "1.8", "kind": "AdvanceSlots", "slots": 4}
-    {"api": "1.8", "kind": "LedgerQuery", "tenant": "ann"}
+    {"api": "1.9", "kind": "Configure", "optimizations": [["idx", 40.0]], "horizon": 4}
+    {"api": "1.9", "kind": "SubmitBids", "tenant": "ann", "bids": [["idx", 1, [30.0, 30.0]]]}
+    {"api": "1.9", "kind": "AdvanceSlots", "slots": 4}
+    {"api": "1.9", "kind": "LedgerQuery", "tenant": "ann"}
 
 :func:`replay` feeds every line through
 :meth:`~repro.gateway.service.PricingService.dispatch_json` — runs of

@@ -5,7 +5,7 @@ One WAL record is one JSON line (the same line discipline
 is the single reader both consume). A record wraps either one request
 envelope in wire form or one atomic bulk run of them::
 
-    {"seq": 7, "epoch": 3, "request": {"api": "1.8", "kind": ...}, "crc": ...}
+    {"seq": 7, "epoch": 3, "request": {"api": "1.9", "kind": ...}, "crc": ...}
     {"seq": 8, "epoch": 3, "requests": [{...}, {...}], "crc": ...}
 
 ``seq`` is the contiguous per-log sequence number (first record is 1),

@@ -141,7 +141,7 @@ class TestMain:
 
     def test_gate_passes_against_committed_baselines_at_smoke(self, gate, tmp_path):
         """The acceptance scenario: smoke-scale fresh results checked
-        against this repository's real committed trajectories."""
+        against this repository's real committed trajectory."""
         fresh = [
             entry("columnar_engine", 1.5, n=2_000, smoke=True),
             entry("advisor_loop", 29.8, n=2_000, smoke=True, floor=3.0),
@@ -150,10 +150,5 @@ class TestMain:
         results.mkdir()
         for item in fresh:
             (results / f"{item['benchmark']}.json").write_text(json.dumps(item))
-        root = BENCHMARKS.parent
-        baselines = [
-            str(root / "BENCH_PR4.json"), str(root / "BENCH_PR3.json"),
-        ]
-        assert gate.main(
-            ["--results", str(results), "--baselines", *baselines]
-        ) == 0
+        baselines = str(BENCHMARKS.parent / "BENCH.json")
+        assert gate.main(["--results", str(results), "--baselines", baselines]) == 0

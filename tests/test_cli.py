@@ -160,7 +160,7 @@ class TestExecution:
     def test_fleet_smoke(self, capsys):
         assert main(
             ["fleet", "--games", "2", "--users", "60", "--slots", "20",
-             "--repeats", "1", "--shards", "2"]
+             "--repeats", "1"]
         ) == 0
         out = capsys.readouterr().out
         assert "speedup" in out
@@ -185,7 +185,7 @@ class TestExecution:
 class TestReplayCommand:
     TRACE = [
         {"api": API_VERSION, "kind": "Configure",
-         "optimizations": [["idx", 40.0]], "horizon": 3, "shards": 1},
+         "optimizations": [["idx", 40.0]], "horizon": 3},
         {"api": API_VERSION, "kind": "SubmitBids", "tenant": "ann",
          "bids": [["idx", 1, [30.0, 15.0]]]},
         {"api": API_VERSION, "kind": "SubmitBids", "tenant": "bob",

@@ -5,8 +5,8 @@ The acceptance contract of ``repro.fleet``: running N games through one
 grants, prices, payments, and implementation slots of running each game
 through its own :class:`~repro.cloudsim.service.CloudService` (which the
 online-equivalence suite in turn ties to the batch mechanism runners).
-Also covered: bulk-vs-per-bid intake parity, shard-count invariance,
-replay determinism, and the ledger/event-log invariants of the fleet path.
+Also covered: bulk-vs-per-bid intake parity, replay determinism, and
+the ledger/event-log invariants of the fleet path.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.cloudsim import (
     UserGranted,
 )
 from repro.core.online import AddOnState, step_changed_many
-from repro.fleet import FleetBatch, FleetEngine, ShardMap
+from repro.fleet import FleetBatch, FleetEngine
 from repro.fleet import engine as fleet_engine
 from repro.workloads import fleet_arrival_trace, fleet_batches, fleet_game_costs
 
@@ -65,10 +65,8 @@ def fleet_games(draw, max_games=4, max_users=8, max_slots=5):
     return costs, bids, sorted(revisions), max_slots + 1
 
 
-def _run_fleet(costs, bids, revisions, horizon, shards=1):
-    engine = FleetEngine(
-        OptimizationCatalog.from_costs(costs), horizon=horizon, shards=shards
-    )
+def _run_fleet(costs, bids, revisions, horizon):
+    engine = FleetEngine(OptimizationCatalog.from_costs(costs), horizon=horizon)
     handles = {}
     for user, game, bid in bids:
         handles[(user, game)] = engine.place_bid(user, game, bid)
@@ -141,22 +139,12 @@ class TestFleetMatchesSeedPath:
         assert dict(fleet.implemented) == implemented
         assert fleet.ledger.revenue == pytest.approx(revenue, abs=1e-9)
 
-    @settings(max_examples=60, deadline=None)
-    @given(game=fleet_games(), shards=st.integers(1, 6))
-    def test_shard_count_never_changes_outcomes(self, game, shards):
-        costs, bids, revisions, horizon = game
-        one = _run_fleet(costs, bids, revisions, horizon, shards=1)
-        many = _run_fleet(costs, bids, revisions, horizon, shards=shards)
-        assert dict(one.payments) == dict(many.payments)
-        assert dict(one.granted_at) == dict(many.granted_at)
-        assert dict(one.implemented) == dict(many.implemented)
-
     @settings(max_examples=40, deadline=None)
     @given(game=fleet_games())
     def test_replay_is_deterministic(self, game):
         costs, bids, revisions, horizon = game
-        first = _run_fleet(costs, bids, revisions, horizon, shards=3)
-        second = _run_fleet(costs, bids, revisions, horizon, shards=3)
+        first = _run_fleet(costs, bids, revisions, horizon)
+        second = _run_fleet(costs, bids, revisions, horizon)
         assert first.events.all() == second.events.all()
         assert first.ledger.entries == second.ledger.entries
 
@@ -169,15 +157,14 @@ class TestPlacementTimeInvariance:
     @settings(max_examples=120, deadline=None)
     @given(
         game=fleet_games(max_users=12, max_slots=10),
-        shards=st.integers(1, 4),
         max_blocks=st.sampled_from([1, 2, 8]),
         data=st.data(),
     )
     def test_late_placement_matches_placing_everything_first(
-        self, game, shards, max_blocks, data
+        self, game, max_blocks, data
     ):
         costs, bids, revisions, horizon = game
-        reference = _run_fleet(costs, bids, revisions, horizon, shards=shards)
+        reference = _run_fleet(costs, bids, revisions, horizon)
         first_revision: dict = {}
         for at, user, bid_game, _, _ in revisions:
             first_revision.setdefault((user, bid_game), at)
@@ -191,9 +178,7 @@ class TestPlacementTimeInvariance:
             slot = data.draw(st.integers(0, latest))
             bulk = revised_at is None and data.draw(st.booleans())
             placements.setdefault(slot, []).append((user, bid_game, bid, bulk))
-        engine = FleetEngine(
-            OptimizationCatalog.from_costs(costs), horizon=horizon, shards=shards
-        )
+        engine = FleetEngine(OptimizationCatalog.from_costs(costs), horizon=horizon)
         handles = {}
         pending = list(revisions)
         with mock.patch.object(fleet_engine, "_MAX_BLOCKS", max_blocks):
@@ -241,7 +226,7 @@ class TestBulkIngestParity:
         costs = fleet_game_costs(5, self.GAMES, mean_cost=12.0)
         catalog = OptimizationCatalog.from_costs(costs)
         arrivals = fleet_arrival_trace(6, self.USERS, self.GAMES, self.SLOTS)
-        bulk = FleetEngine(catalog, horizon=self.SLOTS, shards=4)
+        bulk = FleetEngine(catalog, horizon=self.SLOTS)
         if request.param == "per_duration":
             for batch in fleet_batches(6, self.USERS, self.GAMES, self.SLOTS):
                 bulk.ingest(batch)
@@ -254,7 +239,7 @@ class TestBulkIngestParity:
                     values=np.array([arrival.bid.schedule.values]),
                 )
                 bulk.ingest_many([batch])
-        per_bid = FleetEngine(catalog, horizon=self.SLOTS, shards=4)
+        per_bid = FleetEngine(catalog, horizon=self.SLOTS)
         for arrival in arrivals:
             per_bid.place_bid(arrival.user, arrival.optimization, arrival.bid)
         return bulk.run_to_end(), per_bid.run_to_end()
@@ -318,14 +303,12 @@ class TestFleetInvariants:
     @pytest.fixture(scope="class")
     def report(self):
         costs = fleet_game_costs(11, 30, mean_cost=10.0)
-        engine = FleetEngine(
-            OptimizationCatalog.from_costs(costs), horizon=150, shards=8
-        )
+        engine = FleetEngine(OptimizationCatalog.from_costs(costs), horizon=150)
         for batch in fleet_batches(12, 3_000, 30, 150):
             engine.ingest(batch)
         return engine.run_to_end()
 
-    def test_events_slot_ordered_across_shards(self, report):
+    def test_events_slot_ordered_across_games(self, report):
         slots = [event.slot for event in report.events.all()]
         assert slots == sorted(slots)
 
@@ -381,8 +364,6 @@ class TestFleetApi:
             FleetEngine(self.catalog(), horizon=0)
         with pytest.raises(GameConfigError):
             FleetEngine(OptimizationCatalog(), horizon=5)
-        with pytest.raises(GameConfigError):
-            FleetEngine(self.catalog(), horizon=5, shards=0)
 
     def test_place_bid_validation(self):
         engine = FleetEngine(self.catalog(), horizon=5)
@@ -489,7 +470,7 @@ class TestFleetApi:
             "ann"
         ) == 2  # one departure per distinct end slot, never doubled
 
-    def test_mixed_intake_keeps_shard_major_event_order(self):
+    def test_mixed_intake_steps_games_in_rank_order(self):
         # A bulk bid on rank 1 and a handle bid on rank 0, both granting
         # in the same slot: rank 0 must step (and emit) first.
         catalog = OptimizationCatalog.from_costs({"g0": 10.0, "g1": 10.0})
@@ -599,31 +580,6 @@ class TestFleetApi:
         engine.run_to_end()
         with pytest.raises(MechanismError):
             engine.advance_slot()
-
-
-class TestShardMap:
-    def test_round_robin_order(self):
-        shard_map = ShardMap(7, shards=3)
-        assert shard_map.order == [0, 3, 6, 1, 4, 2, 5]
-        assert shard_map.members(1) == [1, 4]
-        assert [shard_map.shard_of(r) for r in range(7)] == [0, 1, 2, 0, 1, 2, 0]
-        ranks = sorted(range(7), key=shard_map.process_rank.__getitem__)
-        assert ranks == shard_map.order
-
-    def test_validation(self):
-        with pytest.raises(GameConfigError):
-            ShardMap(-1)
-        with pytest.raises(GameConfigError):
-            ShardMap(3, shards=0)
-        with pytest.raises(GameConfigError):
-            ShardMap(3).shard_of(3)
-        with pytest.raises(GameConfigError):
-            ShardMap(3, shards=2).members(2)
-
-    def test_more_shards_than_games(self):
-        shard_map = ShardMap(2, shards=5)
-        assert shard_map.order == [0, 1]
-        assert len(shard_map) == 5
 
 
 class TestStepChangedMany:

@@ -141,12 +141,7 @@ class TestBuildFleet:
             for i in range(4)
         ]
         engine = build_fleet(
-            estimator,
-            workloads,
-            [NARROW],
-            horizon=6,
-            dollars_per_byte=1e-4,
-            shards=2,
+            estimator, workloads, [NARROW], horizon=6, dollars_per_byte=1e-4
         )
         report = engine.run_to_end()
         # Four tenants each save 32 units/slot (0.032 s); the view costs

@@ -79,7 +79,7 @@ def roundtrip(obj):
 # ------------------------------------------------------------- envelopes --
 
 ENVELOPE_EXAMPLES = [
-    Configure(optimizations=(("idx", 40.0), (("t", 1), 3.5)), horizon=6, shards=2),
+    Configure(optimizations=(("idx", 40.0), (("t", 1), 3.5)), horizon=6),
     SubmitBids(tenant="ann", bids=(("idx", 1, (30.0, 2.5)), ("v", 2, (1.0,)))),
     SubmitBids(tenant=7, bids=(), revisable=True),
     ReviseBid(tenant="bob", optimization="idx", new_values={3: 5.0, 4: 6.5}),
@@ -124,15 +124,25 @@ class TestEnvelopeRoundTrips:
         with pytest.raises(ProtocolError):
             request_from_dict(wire)
 
-    def test_configure_carrying_a_pool_size_is_refused(self):
-        # A stale client asking for a pool is refused, not silently run
-        # in-process.
-        wire = to_dict(Configure(optimizations=(("idx", 40.0),), horizon=2))
-        wire["workers"] = 2
+    @pytest.mark.parametrize(
+        ("envelope", "field"),
+        [
+            (Configure(optimizations=(("idx", 40.0),), horizon=2), "workers"),
+            (Configure(optimizations=(("idx", 40.0),), horizon=2), "shards"),
+            (AdviseRequest(horizon=5), "shards"),
+        ],
+        ids=["workers", "shards", "advise-shards"],
+    )
+    def test_configure_carrying_a_pool_size_is_refused(self, envelope, field):
+        # A stale client asking for a pool (removed in API 1.7) or a shard
+        # count (removed in 1.9) gets an error naming the field, not a
+        # period silently run in-process or in another order.
+        wire = to_dict(envelope)
+        wire[field] = 2
         with pytest.raises(ProtocolError) as excinfo:
             request_from_dict(wire)
         assert excinfo.value.code == "protocol"
-        assert "workers" in str(excinfo.value)
+        assert field in str(excinfo.value)
 
 
 # ---------------------------------------------------------- value objects --
@@ -235,15 +245,13 @@ class TestGatewayPreservesFleetPath:
 
     def test_dispatch_many_bit_identical_to_direct_engine(self):
         costs, batches, trace = self._population()
-        direct = FleetEngine(
-            OptimizationCatalog.from_costs(costs), horizon=self.SLOTS, shards=4
-        )
+        direct = FleetEngine(OptimizationCatalog.from_costs(costs), horizon=self.SLOTS)
         for batch in batches:
             direct.ingest(batch)
         direct_report = direct.run_to_end()
 
         service = PricingService(
-            OptimizationCatalog.from_costs(costs), horizon=self.SLOTS, shards=4
+            OptimizationCatalog.from_costs(costs), horizon=self.SLOTS
         )
         requests = [
             SubmitBids(
@@ -761,7 +769,7 @@ class TestTraces:
 
     def test_replay_equals_direct_dispatch(self, tmp_path):
         requests = [
-            Configure(optimizations=(("a", 20.0), ("b", 30.0)), horizon=5, shards=2),
+            Configure(optimizations=(("a", 20.0), ("b", 30.0)), horizon=5),
             SubmitBids(tenant="u1", bids=(("a", 1, (15.0, 10.0)),)),
             SubmitBids(tenant="u2", bids=(("a", 2, (12.0,)), ("b", 1, (5.0,)))),
             AdvanceSlots(slots=5),

@@ -308,7 +308,7 @@ class TestPrometheusExposition:
     def test_fleet_period_observes_the_slot_timer_once_per_slot(self):
         slots = obs.REGISTRY.histogram("repro_fleet_slot_advance_seconds")
         catalog = OptimizationCatalog.from_costs(fleet_game_costs(2012, 5, 30.0))
-        engine = FleetEngine(catalog, 6, shards=3)
+        engine = FleetEngine(catalog, 6)
         engine.ingest_many(fleet_batches(13, 80, 5, 6, 3))
         before = slots.count
         engine.run_to_end()

@@ -377,8 +377,8 @@ def _run_fleet(args) -> int:
             repeats=args.repeats,
             seed=args.seed,
         )
-        print(f"direct fleet engine   {direct_s:>8.3f} s")
-        print(f"gateway dispatch      {gateway_s:>8.3f} s")
+        print(f"direct fleet engine   {direct_s:>8.3f} CPU seconds")
+        print(f"gateway dispatch      {gateway_s:>8.3f} CPU seconds")
         print(f"dispatch overhead     {(gateway_s / direct_s - 1.0):>8.1%}")
         return 0
     print(

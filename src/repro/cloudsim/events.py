@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, fields
 from typing import Iterator
+
+import numpy as np
 
 __all__ = [
     "Event",
@@ -14,6 +17,13 @@ __all__ = [
     "UserDeparted",
     "UserCharged",
     "EventLog",
+    "KINDS",
+    "PLACED",
+    "REVISED",
+    "GRANTED",
+    "IMPLEMENTED",
+    "DEPARTED",
+    "CHARGED",
 ]
 
 
@@ -71,40 +81,163 @@ class UserCharged(Event):
     amount: float
 
 
+#: The event kinds an :class:`EventLog` stores; a row's kind code is the
+#: kind's position here.
+KINDS = (
+    BidPlaced,
+    BidRevised,
+    UserGranted,
+    OptimizationImplemented,
+    UserDeparted,
+    UserCharged,
+)
+PLACED, REVISED, GRANTED, IMPLEMENTED, DEPARTED, CHARGED = range(len(KINDS))
+_CODE = {kind: code for code, kind in enumerate(KINDS)}
+#: Per kind, the names of the fields after ``slot`` (one or two).
+_FIELDS = tuple(tuple(f.name for f in fields(kind))[1:] for kind in KINDS)
+
+
 class EventLog:
-    """Append-only event history with typed filtering."""
+    """Append-only event history, stored as runs of rows.
+
+    Every event is one row: its first field after the slot (the user; an
+    implementation's optimization) in one object column. Consecutive
+    rows that share a kind, a slot and the very same second field
+    (detail, optimization, cost or amount; None for a departure) form a
+    run, which stores those three once: its kind code (an index into
+    :data:`KINDS`), slot, second field and first row. A slot's
+    departures, one bulk batch's placements or one game step's grants
+    are each one run, so a row costs one reference to an object the
+    caller already holds. :meth:`append` and :meth:`extend` add rows
+    without building an event; :meth:`record` takes an event object.
+    Events are built only when read. What each read costs, for ``n``
+    rows in ``r`` runs:
+
+    * ``len`` — O(1);
+    * :meth:`column` — one numpy pass over the runs' kind codes, then
+      the matching rows, no events;
+    * :meth:`of_type`/:meth:`in_slot` — one numpy pass over the runs,
+      then one event built per matching row;
+    * ``==`` — O(n), builds no events;
+    * :meth:`all` — n events built.
+    """
 
     def __init__(self) -> None:
-        self._events: list[Event] = []
+        self._firsts: list = []  # per row
+        self._starts = array("q")  # per run: its first row
+        self._kinds = bytearray()  # per run
+        self._slots = array("q")  # per run
+        self._seconds: list = []  # per run
 
     def __eq__(self, other: object) -> bool:
         """Logs are equal when their event sequences are (wire contract:
         a gateway round-trip must reproduce the history event for event)."""
         if not isinstance(other, EventLog):
             return NotImplemented
-        return self._events == other._events
+        return self._firsts == other._firsts and all(
+            mine == theirs for mine, theirs in zip(self.rows(), other.rows())
+        )
 
     __hash__ = None  # append-only log: identity hashing would lie across edits
 
     def record(self, event: Event) -> None:
-        """Append one event."""
-        self._events.append(event)
+        """Append one event object."""
+        code = _CODE[type(event)]
+        names = _FIELDS[code]
+        second = getattr(event, names[1]) if len(names) > 1 else None
+        self.append(code, event.slot, getattr(event, names[0]), second)
 
     def record_many(self, events) -> None:
-        """Append an iterable of events in order (bulk intake paths)."""
-        self._events.extend(events)
+        """Append an iterable of event objects in order."""
+        for event in events:
+            self.record(event)
+
+    def append(self, kind: int, slot: int, first, second=None) -> None:
+        """Append one row of kind code ``kind`` (see the class docstring)."""
+        self._run(kind, slot, second)
+        self._firsts.append(first)
+
+    def extend(self, kind: int, slot: int, firsts, second=None) -> None:
+        """Append one row of ``kind`` at ``slot`` per item of the sequence
+        ``firsts``, every row sharing ``second``."""
+        if len(firsts):
+            self._run(kind, slot, second)
+            self._firsts += firsts
+
+    def _run(self, kind: int, slot: int, second) -> None:
+        """Open a run for the next rows unless the last one fits them."""
+        kinds = self._kinds
+        if not (
+            kinds
+            and kinds[-1] == kind
+            and self._slots[-1] == slot
+            and self._seconds[-1] is second
+        ):
+            self._starts.append(len(self._firsts))
+            kinds.append(kind)
+            self._slots.append(slot)
+            self._seconds.append(second)
+
+    def _runs(self, picked=None) -> Iterator[tuple]:
+        """``(kind, slot, second, first fields)`` per run, in order; only
+        the runs at the positions ``picked`` (an array), when given."""
+        kinds, slots, seconds = self._kinds, self._slots, self._seconds
+        starts, firsts = self._starts, self._firsts
+        n = len(starts)
+        for i in range(n) if picked is None else picked.tolist():
+            end = starts[i + 1] if i + 1 < n else len(firsts)
+            yield KINDS[kinds[i]], slots[i], seconds[i], firsts[starts[i] : end]
+
+    def rows(self) -> Iterator[tuple]:
+        """``(kind, slot, first, second)`` per row, in order; the kind is
+        the event class."""
+        return (
+            (kind, slot, first, second)
+            for kind, slot, second, firsts in self._runs()
+            for first in firsts
+        )
+
+    def column(self, kind: type, field: str) -> list:
+        """One field of every event of exactly one kind, in order."""
+        code = _CODE[kind]
+        first = field == _FIELDS[code][0]
+        picked = np.flatnonzero(np.frombuffer(self._kinds, np.uint8) == code)
+        out: list = []
+        for _, slot, second, firsts in self._runs(picked):
+            if first:
+                out += firsts
+            else:
+                out += (slot if field == "slot" else second,) * len(firsts)
+        return out
 
     def all(self) -> list[Event]:
         """Every event in order."""
-        return list(self._events)
+        return [_build(*row) for row in self.rows()]
 
     def of_type(self, event_type: type) -> Iterator[Event]:
-        """Events of one type, in order."""
-        return (e for e in self._events if isinstance(e, event_type))
+        """Events of one type (subclasses included), in order."""
+        codes = [
+            code for code, kind in enumerate(KINDS) if issubclass(kind, event_type)
+        ]
+        return self._built(np.isin(np.frombuffer(self._kinds, np.uint8), codes))
 
     def in_slot(self, slot: int) -> Iterator[Event]:
         """Events of one slot, in order."""
-        return (e for e in self._events if e.slot == slot)
+        return self._built(np.frombuffer(self._slots, np.int64) == slot)
+
+    def _built(self, runs: np.ndarray) -> Iterator[Event]:
+        """The events of the runs where ``runs`` (a per-run mask) is set."""
+        return (
+            _build(kind, slot, first, second)
+            for kind, slot, second, firsts in self._runs(np.flatnonzero(runs))
+            for first in firsts
+        )
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._firsts)
+
+
+def _build(kind: type, slot: int, first, second) -> Event:
+    if kind is UserDeparted:
+        return kind(slot, first)
+    return kind(slot, first, second)

@@ -39,8 +39,18 @@ the whole fleet's arrivals and departures per slot:
   allocation-free batch entry point over the fused
   :meth:`~repro.core.fastshapley.IncrementalShapley.apply_and_solve`.
 * **Array-backed shared state.** The schedules, their group indexes, the
-  per-group gate deltas, and per-game revenue are flat parallel arrays;
-  the ledger and event log are shared by every game.
+  per-group gate deltas, and per-game revenue are flat parallel arrays.
+* **Columnar bookkeeping.** The event log and ledger, shared by every
+  game, store rows, not objects (see
+  :class:`~repro.cloudsim.events.EventLog` and
+  :class:`~repro.cloudsim.ledger.BillingLedger`): placements, revisions,
+  grants, builds, departures and charges append rows that reference the
+  user objects the engine already holds. One slot's departures are one
+  numpy cut per block; a cold game has never serviced anyone, so its
+  departures owe zero and only get their row. Payments and grant slots
+  are not kept in per-user dicts: :meth:`FleetEngine.report` sums them
+  from the departure, charge and grant rows. Event and ledger-entry
+  objects are built only when someone reads them.
 
 Determinism is contractual (see DESIGN.md "Fleet conventions"): within a
 slot, games step in ascending catalog rank, same-slot grants of one game
@@ -59,7 +69,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from typing import Mapping
 
@@ -70,10 +80,13 @@ from repro.bids.additive import AdditiveBid
 from repro.bids.revision import RevisableBid
 from repro.cloudsim.catalog import OptimizationCatalog
 from repro.cloudsim.events import (
-    BidPlaced,
-    BidRevised,
+    CHARGED,
+    DEPARTED,
+    GRANTED,
+    IMPLEMENTED,
+    PLACED,
+    REVISED,
     EventLog,
-    OptimizationImplemented,
     UserCharged,
     UserDeparted,
     UserGranted,
@@ -193,8 +206,8 @@ class _Block:
     feasibility-gate profile there: the game's residual total and
     positive-bid count over this block's rows. ``walk`` holds the groups
     the slot loop visits (games at or after their flush slot) as
-    ``(slot, rank, lo, hi)`` lists consumed through ``gp``; ``deps`` the
-    departures as ``(slot, rank, row)`` lists consumed through ``dp``.
+    ``(slot, rank, lo, hi)`` arrays consumed through ``gp``; ``deps`` the
+    departures as ``(slot, rank, row)`` arrays consumed through ``dp``.
     ``last`` is the block's last entry slot.
     """
 
@@ -218,15 +231,15 @@ class _Block:
         )
 
     def rewalk(self, t: int, flush: np.ndarray) -> None:
-        """Rebuild the walk lists from slot ``t`` on under ``flush``."""
+        """Rebuild the walk arrays from slot ``t`` on under ``flush``."""
         gslot = self.gslot
         lo = int(np.searchsorted(gslot, t))
         live = lo + np.flatnonzero(gslot[lo:] >= flush[self.grank[lo:]])
         self.walk = (
-            gslot[live].tolist(),
-            self.grank[live].tolist(),
-            self.gbound[live].tolist(),
-            self.gbound[live + 1].tolist(),
+            gslot[live],
+            self.grank[live],
+            self.gbound[live],
+            self.gbound[live + 1],
         )
         self.gp = 0
 
@@ -234,8 +247,8 @@ class _Block:
         """Earliest slot this block has a walk group or a departure at."""
         wslot = self.walk[0]
         dslot = self.deps[0]
-        walk = wslot[self.gp] if self.gp < len(wslot) else _NEVER
-        return min(walk, dslot[self.dp] if self.dp < len(dslot) else _NEVER)
+        walk = int(wslot[self.gp]) if self.gp < len(wslot) else _NEVER
+        return min(walk, int(dslot[self.dp]) if self.dp < len(dslot) else _NEVER)
 
 
 class FleetEngine:
@@ -279,8 +292,6 @@ class FleetEngine:
         # Per game: hot flag and flush slot (module docstring).
         self._hot = [False] * n_games
         self._flush = np.full(n_games, _NEVER, dtype=np.int64)
-        self._payments: dict[UserId, float] = {}
-        self._granted_at: dict[tuple, int] = {}
         self._implemented: dict[OptId, int] = {}
         self._game_revenue = np.zeros(n_games)
         # The bid store. Every row gets the next dense index; ``_users``
@@ -385,7 +396,7 @@ class FleetEngine:
         row = self._append(user, rank, schedule.start, schedule.values)
         self._guard()[rank][user] = row
         self._handles[row] = handle
-        self.events.record(BidPlaced(self.slot + 1, user, self._details[rank]))
+        self.events.append(PLACED, self.slot + 1, user, self._details[rank])
         self.epoch += 1
         return handle
 
@@ -417,7 +428,7 @@ class FleetEngine:
         self._revised = True
         game[user] = superseding
         self._handles[superseding] = self._handles.pop(row)
-        self.events.record(BidRevised(self.slot + 1, user, self._details[rank]))
+        self.events.append(REVISED, self.slot + 1, user, self._details[rank])
         self.epoch += 1
 
     def _append(self, user: UserId, rank: int, start: int, values) -> int:
@@ -459,9 +470,8 @@ class FleetEngine:
         Every batch is validated before *any* batch is committed, so a
         bad batch in the middle cannot leave earlier ones scheduled — the
         all-or-nothing property untrusted boundaries (the gateway's
-        batched dispatch) build their own contract on. Per-bid
-        ``BidPlaced`` events are still recorded so the event log stays
-        complete.
+        batched dispatch) build their own contract on. Every bid still
+        gets its ``BidPlaced`` row, so the event log stays complete.
 
         Bulk intake trusts its generator for one bid per (user,
         optimization) until the engine tracks taken pairs — after any
@@ -476,15 +486,7 @@ class FleetEngine:
                 validated.append((batch, ranks, ranks.tolist(), starts, first))
         taken = self._guard() if checked else self._taken
         if taken is not None:
-            fresh: set = set()
-            for batch, _, rank_list, _, _ in validated:
-                for user, rank in zip(batch.users, rank_list):
-                    if user in taken[rank] or (user, rank) in fresh:
-                        raise GameConfigError(
-                            f"user {user!r} already bid on "
-                            f"{self._opt_ids[rank]!r}; revise instead"
-                        )
-                    fresh.add((user, rank))
+            self._claim(taken, [(b.users, ranks) for b, _, ranks, _, _ in validated])
         total = 0
         placed = self.slot + 1
         for batch, ranks, rank_list, starts, first in validated:
@@ -498,13 +500,32 @@ class FleetEngine:
             group[2].frombytes(starts.tobytes())
             group[3].frombytes(batch.values.tobytes())
             self._open_start = min(self._open_start, first)
-            self.events.record_many([BidPlaced(placed, user) for user in batch.users])
-            if taken is not None:
-                for row, user, rank in zip(count(base), batch.users, rank_list):
-                    taken[rank][user] = row
+            self.events.extend(PLACED, placed, batch.users, "")
             total += n
         self.epoch += total
         return total
+
+    def _claim(self, taken: list, bids: list) -> None:
+        """Enter the rows about to be appended in the duplicate guard.
+
+        ``bids`` holds ``(users, ranks)`` per batch, in commit order. A
+        pair already bid, before or within these batches, withdraws the
+        entries this call made and fails it, so nothing is committed.
+        """
+        row = len(self._users)
+        for users, ranks in bids:
+            for user, rank in zip(users, ranks):
+                game = taken[rank]
+                if user in game:
+                    claimed = chain.from_iterable(zip(*pair) for pair in bids)
+                    for done, at in islice(claimed, row - len(self._users)):
+                        del taken[at][done]
+                    raise GameConfigError(
+                        f"user {user!r} already bid on "
+                        f"{self._opt_ids[rank]!r}; revise instead"
+                    )
+                game[user] = row
+                row += 1
 
     def _validate_batch(self, batch: FleetBatch):
         """All of one batch's intake checks, mutation-free; returns its
@@ -615,7 +636,7 @@ class FleetEngine:
             # indices already ascend within each duration's columns, so
             # this stable sort only merges sorted runs (and keeps each
             # bid's entries in slot order).
-            intake = np.argsort(columns[3], kind="stable")
+            intake = _stable_argsort(columns[3])
             columns = [column[intake] for column in columns]
         slots, ranks, vals, rows, dtotal, dnpos = columns
         self._columns = {}
@@ -641,8 +662,7 @@ class FleetEngine:
         order within a slot.
         """
         n_games = len(self._opt_ids)
-        # Single combined-key stable argsorts beat two-pass lexsorts here.
-        order = np.argsort(slots * n_games + ranks, kind="stable")
+        order = _stable_argsort(slots * n_games + ranks)
         slots_s, ranks_s = slots[order], ranks[order]
         # Group boundaries: runs of equal (slot, rank) in slot order.
         boundary = np.empty(len(slots_s), dtype=bool)
@@ -656,18 +676,15 @@ class FleetEngine:
         block.grank = ranks_s[g_start]
         block.gbound = np.append(g_start, len(slots_s))
         keys = block.grank * self._span + block.gslot
-        block.by_rank = np.argsort(keys, kind="stable")
+        block.by_rank = _stable_argsort(keys)
         block.gkey = keys[block.by_rank]
         block.offsets = np.searchsorted(
             block.gkey, np.arange(n_games + 1) * self._span
         ).tolist()
         dep_slots, dep_ranks, dep_rows = deps
-        by_slot = np.lexsort((dep_rows, dep_slots))
-        block.deps = (
-            dep_slots[by_slot].tolist(),
-            dep_ranks[by_slot].tolist(),
-            dep_rows[by_slot].tolist(),
-        )
+        by_slot = _stable_argsort(dep_rows)
+        by_slot = by_slot[_stable_argsort(dep_slots[by_slot])]
+        block.deps = (dep_slots[by_slot], dep_ranks[by_slot], dep_rows[by_slot])
         block.dp = 0
         block.last = int(slots_s[-1])
         return block, order, g_start
@@ -680,7 +697,7 @@ class FleetEngine:
             np.concatenate(pair) for pair in zip(older.tail(lo), newer.tail(0))
         )
         deps = (
-            np.array(left[older.dp :] + right, dtype=np.int64)
+            np.concatenate((left[older.dp :], right))
             for left, right in zip(older.deps, newer.deps)
         )
         block = self._layout(slots, ranks, rows, vals, deps)[0]
@@ -762,12 +779,15 @@ class FleetEngine:
         for block in self._blocks:
             wslot, wrank, wlo, whi = block.walk
             gp = block.gp
-            n = len(wslot)
-            while gp < n and wslot[gp] == t:
-                rank = wrank[gp]
-                steps.append((rank, block, wlo[gp], whi[gp]))
-                gp += 1
-            block.gp = gp
+            end = int(np.searchsorted(wslot, t, side="right"))
+            if end > gp:
+                steps += zip(
+                    wrank[gp:end].tolist(),
+                    repeat(block),
+                    wlo[gp:end].tolist(),
+                    whi[gp:end].tolist(),
+                )
+                block.gp = end
         if len(self._blocks) > 1:
             steps.sort(key=itemgetter(0))  # stable: block order per game
         hot = self._hot
@@ -825,54 +845,54 @@ class FleetEngine:
             return
         _, _, newly = result
         optimization = self._opt_ids[rank]
-        granted = self._granted_at
-        record = self.events.record
-        for user in sorted(newly, key=_grant_order):
-            granted[(user, optimization)] = t
-            record(UserGranted(t, user, optimization))
+        self.events.extend(GRANTED, t, sorted(newly, key=_grant_order), optimization)
         if state.implemented_at == t:
             cost = state.cost
             self._implemented[optimization] = t
-            self.ledger.build_outlay(t, optimization, cost)
-            record(OptimizationImplemented(t, optimization, cost))
+            self.ledger.add_outlay(t, optimization, cost)
+            self.events.append(IMPLEMENTED, t, optimization, cost)
 
     def _invoice_departures(self, t: int) -> None:
-        departed: dict = {}
-        payments = self._payments
-        hot = self._hot
-        names = self._users
-        # Until a revision, no row is superseded: skip the guard lookup.
-        taken = self._taken if self._revised else None
+        """Invoice the rows departing at ``t``, in row order.
+
+        One numpy cut per block takes its departures at ``t``. A cold
+        game has never serviced anyone, so its departures owe exactly
+        zero and only get their ``UserDeparted`` row; a hot game prices
+        each through ``exit_price``. Payments are not kept here: the
+        report sums them from the departure and charge rows.
+        """
+        rows: list = []
+        ranks: list = []
         for block in self._blocks:
             dep_slots, dep_ranks, dep_rows = block.deps
             dp = block.dp
-            n = len(dep_slots)
-            while dp < n and dep_slots[dp] == t:
-                row = dep_rows[dp]
-                rank = dep_ranks[dp]
-                dp += 1
-                user = names[row]
-                if taken is not None and taken[rank].get(user) != row:
-                    continue  # revised: the superseding row departs instead
-                if hot[rank]:
-                    self._invoice(t, user, rank, departed)
-                else:
-                    # A cold game has never serviced anyone: the departure
-                    # owes exactly zero, no engine consultation needed.
-                    payments[user] = payments.get(user, 0.0)
-                    departed[user] = None
-            block.dp = dp
-        if departed:
-            self.events.record_many([UserDeparted(t, user) for user in departed])
-
-    def _invoice(self, t: int, user: UserId, rank: int, departed: dict) -> None:
-        amount = self._states[rank].exit_price(user)
-        self._payments[user] = self._payments.get(user, 0.0) + amount
-        if amount > 0:
-            self.ledger.invoice(t, user, amount, memo=self._details[rank])
-            self.events.record(UserCharged(t, user, amount))
-            self._game_revenue[rank] += amount
-        departed[user] = None
+            end = int(dep_slots.searchsorted(t, side="right"))
+            if end > dp:
+                rows += dep_rows[dp:end].tolist()
+                ranks += dep_ranks[dp:end].tolist()
+                block.dp = end
+        if not rows:
+            return
+        names = self._users
+        users = [names[row] for row in rows]
+        if self._revised:
+            # A revised bid's superseding row departs instead of the old.
+            taken = self._taken
+            current = [
+                taken[rank].get(user) == row
+                for user, row, rank in zip(users, rows, ranks)
+            ]
+            users = list(compress(users, current))
+            ranks = list(compress(ranks, current))
+        hot, states = self._hot, self._states
+        for user, rank in zip(users, ranks):
+            if hot[rank]:
+                amount = states[rank].exit_price(user)
+                if amount > 0:
+                    self.ledger.add_invoice(t, user, amount, memo=self._details[rank])
+                    self.events.append(CHARGED, t, user, amount)
+                    self._game_revenue[rank] += amount
+        self.events.extend(DEPARTED, t, list(dict.fromkeys(users)))
 
     def run_to_end(self) -> FleetReport:
         """Process every remaining slot and return the report."""
@@ -893,16 +913,40 @@ class FleetEngine:
         implementation set is needed per slot."""
         return self._implemented
 
+    def _granted_at(self) -> dict:
+        """``{(user, optimization): slot granted}`` in grant order, from
+        the event log's grant rows."""
+        column = self.events.column
+        pairs = zip(column(UserGranted, "user"), column(UserGranted, "optimization"))
+        return dict(zip(pairs, column(UserGranted, "slot")))
+
+    def _payments(self) -> dict:
+        """``{user: total invoiced}`` from the event log: every departed
+        user in order of first departure, at 0.0 plus the user's charges,
+        added in charge order — the sums invoicing would have kept."""
+        column = self.events.column
+        payments = dict.fromkeys(column(UserDeparted, "user"), 0.0)
+        for user, amount in zip(
+            column(UserCharged, "user"), column(UserCharged, "amount")
+        ):
+            payments[user] += amount
+        return payments
+
     def report(self) -> FleetReport:
-        """The current summary (complete once the period is over)."""
+        """The current summary (complete once the period is over).
+
+        Payments and grant slots are summed from the event log's rows,
+        so a report costs O(events) numpy work plus one dict entry per
+        departed user and per grant.
+        """
         return FleetReport(
             horizon=self.horizon,
             games=tuple(self._opt_ids),
             ledger=self.ledger,
             events=self.events,
             implemented=dict(self._implemented),
-            granted_at=dict(self._granted_at),
-            payments=dict(self._payments),
+            granted_at=self._granted_at(),
+            payments=self._payments(),
             game_revenue={
                 j: float(self._game_revenue[r])
                 for r, j in enumerate(self._opt_ids)
@@ -916,6 +960,20 @@ def _require_finite(values) -> None:
     """Per-bid values must be finite, as bulk intake requires."""
     if not all(map(math.isfinite, values)):
         raise BidError("slot values must be finite")
+
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-negative integer keys.
+
+    Packs each key with its position into one distinct int64 and sorts
+    those values: numpy's vectorized value sort runs several times
+    faster than its stable argsort on a million-bid block. Keys too
+    large to pack fall back to the stable argsort.
+    """
+    n = len(keys)
+    if not n or int(keys.max()) * n + n > np.iinfo(np.int64).max:
+        return np.argsort(keys, kind="stable")
+    return np.sort(keys * n + np.arange(n)) % n
 
 
 def _running(deltas: np.ndarray, first: np.ndarray) -> np.ndarray:

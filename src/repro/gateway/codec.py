@@ -310,13 +310,13 @@ def _enc_ledger(ledger: BillingLedger) -> dict:
     return {
         "entries": [
             {
-                "slot": e.slot,
-                "kind": e.kind,
-                "party": encode_value(e.party),
-                "amount": e.amount,
-                "memo": e.memo,
+                "slot": slot,
+                "kind": kind,
+                "party": encode_value(party),
+                "amount": amount,
+                "memo": memo,
             }
-            for e in ledger.entries
+            for slot, kind, party, amount, memo in ledger.rows()
         ]
     }
 
@@ -335,36 +335,28 @@ def _dec_ledger(d: dict) -> BillingLedger:
         amount = float(_field(raw, "amount"))
         memo = str(_field(raw, "memo"))
         if kind == "invoice":
-            ledger.invoice(slot, party, amount, memo)
+            ledger.add_invoice(slot, party, amount, memo)
         elif kind == "build":
-            ledger.build_outlay(slot, party, -amount, memo)
+            ledger.add_outlay(slot, party, -amount, memo)
         else:
             raise ProtocolError(f"unknown ledger entry kind {kind!r}")
     return ledger
 
 
-#: Event classes that may appear in a serialized event log.
-_EVENT_TYPES = {
-    cls.__name__: cls
-    for cls in (
-        _ev.BidPlaced,
-        _ev.BidRevised,
-        _ev.UserGranted,
-        _ev.OptimizationImplemented,
-        _ev.UserDeparted,
-        _ev.UserCharged,
-    )
+#: Wire name -> (row code, field names, ``slot`` first) per event kind.
+_EVENT_KINDS = {
+    cls.__name__: (code, tuple(cls.__dataclass_fields__))
+    for code, cls in enumerate(_ev.KINDS)
 }
 
 
 def _enc_events(log: _ev.EventLog) -> dict:
     encoded = []
-    for event in log.all():
-        fields = {
-            name: encode_value(getattr(event, name))
-            for name in event.__dataclass_fields__
-        }
-        encoded.append({"event": type(event).__name__, **fields})
+    for cls, *values in log.rows():
+        row = {"event": cls.__name__}
+        for field, value in zip(_EVENT_KINDS[cls.__name__][1], values):
+            row[field] = encode_value(value)
+        encoded.append(row)
     return {"events": encoded}
 
 
@@ -376,15 +368,12 @@ def _dec_events(d: dict) -> _ev.EventLog:
     for raw in events:
         if not isinstance(raw, dict):
             raise ProtocolError(f"malformed event {raw!r}")
-        cls = _EVENT_TYPES.get(raw.get("event"))
-        if cls is None:
+        kind = _EVENT_KINDS.get(raw.get("event"))
+        if kind is None:
             raise ProtocolError(f"unknown event type {raw.get('event')!r}")
-        kwargs = {
-            name: decode_value(_field(raw, name))
-            for name in cls.__dataclass_fields__
-        }
-        kwargs["slot"] = int(kwargs["slot"])
-        log.record(cls(**kwargs))
+        code, fields = kind
+        slot, *values = (decode_value(_field(raw, name)) for name in fields)
+        log.append(code, int(slot), *values)
     return log
 
 
@@ -756,8 +745,8 @@ def _dec_block(d: dict) -> _Block:
     for name, dtype in _BLOCK_ARRAYS:
         setattr(block, name, _dec_array(_field(d, name), dtype))
     block.offsets = [int(x) for x in _field(d, "offsets")]
-    block.walk = tuple(_dec_array(c, _INT).tolist() for c in _field(d, "walk"))
-    block.deps = tuple(_dec_array(c, _INT).tolist() for c in _field(d, "deps"))
+    block.walk = tuple(_dec_array(c, _INT) for c in _field(d, "walk"))
+    block.deps = tuple(_dec_array(c, _INT) for c in _field(d, "deps"))
     block.gp = int(_field(d, "gp"))
     block.dp = int(_field(d, "dp"))
     block.last = int(_field(d, "last"))
@@ -778,8 +767,6 @@ def _enc_fleet(f: FleetEngine) -> dict:
         "games": [_enc_game(state) for state in f._states],
         "hot": list(f._hot),
         "flush": _enc_array(f._flush, _INT),
-        "payments": encode_value(f._payments),
-        "granted_at": encode_value(f._granted_at),
         "implemented": encode_value(f._implemented),
         "game_revenue": _enc_array(f._game_revenue, _FLOAT),
         "users": encode_value(f._users),
@@ -813,8 +800,6 @@ def _dec_fleet(d: dict) -> FleetEngine:
         _dec_game(state, game)
     fleet._hot = [bool(hot) for hot in _field(d, "hot")]
     fleet._flush = _dec_array(_field(d, "flush"), _INT)
-    fleet._payments = _decoded_map(_field(d, "payments"))
-    fleet._granted_at = _decoded_map(_field(d, "granted_at"))
     fleet._implemented = _decoded_map(_field(d, "implemented"))
     fleet._game_revenue = _dec_array(_field(d, "game_revenue"), _FLOAT)
     fleet._users = list(decode_value(_field(d, "users")))

@@ -10,7 +10,7 @@ replays only the WAL records past that sequence.
 The open period is an exact image of its
 :class:`~repro.fleet.engine.FleetEngine` (the codec's ``FleetEngine``
 entry): bid rows, live blocks with their walk and departure pointers,
-each game's solver internals, payments, grants, ledger and event log.
+each game's solver internals, ledger and event log.
 Restore decodes that image and dispatches nothing, so recovery costs
 time proportional to the state plus the WAL tail, not to the period
 run so far. The image is built only when a checkpoint is taken; dispatch
@@ -20,7 +20,8 @@ Checkpoint files are written to a temp file, fsync'd, and renamed into
 place, so a crash mid-checkpoint leaves at worst an ignorable ``*.tmp``;
 each file carries a CRC32 over its canonical body and corrupt files make
 recovery fall back to the previous checkpoint. A file of another format
-(format 1 stored envelope history instead of an image) is refused with a
+(format 1 stored envelope history instead of an image, format 2 an image
+with payments and grant maps) is refused with a
 :class:`~repro.errors.RecoveryError` naming both formats.
 """
 
@@ -51,8 +52,10 @@ __all__ = [
 ]
 
 #: Bumped on any incompatible change to the checkpoint document shape
-#: (2: the fleet section is a state image, not an envelope history).
-CHECKPOINT_FORMAT = 2
+#: (2: the fleet section is a state image, not an envelope history;
+#: 3: the image carries no payments or grant maps, which are sums over
+#: the event log's rows).
+CHECKPOINT_FORMAT = 3
 
 #: How finished checkpoints are named inside a WAL directory (the
 #: ``*.tmp`` staging twin is deliberately not matched).

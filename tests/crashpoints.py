@@ -25,7 +25,7 @@ a test module itself.
 
 from __future__ import annotations
 
-from repro.gateway.envelopes import to_dict
+from repro.gateway.envelopes import LedgerQuery, MetricsRequest, to_dict
 from repro.gateway.wal.recovery import read_log
 
 __all__ = [
@@ -104,17 +104,29 @@ def durable_requests(wal_dir) -> int:
     return sum(len(record.requests) for record in log.records)
 
 
+def _logged_width(step) -> int:
+    """Envelopes the WAL holds for one step: pure reads (ledger and
+    metrics queries) are not logged, alone or in a batch of nothing
+    else."""
+    batch = step if isinstance(step, list) else [step]
+    if all(isinstance(r, (LedgerQuery, MetricsRequest)) for r in batch):
+        return 0
+    return len(batch)
+
+
 def continuation(steps, done: int) -> list:
     """The workload tail after ``done`` durable request envelopes.
 
-    Walks ``steps`` counting flattened envelopes; a list step that was
-    only partially durable resumes mid-list (that can only happen when
-    the crash hit before the run's atomic WAL record, i.e. ``done`` lands
-    on the step's start — but slicing handles either way).
+    Walks ``steps`` counting flattened logged envelopes (a read after
+    the last durable one is skipped: it changed nothing, so the tail may
+    start after it); a list step that was only partially durable resumes
+    mid-list (that can only happen when the crash hit before the run's
+    atomic WAL record, i.e. ``done`` lands on the step's start — but
+    slicing handles either way).
     """
     seen = 0
     for index, step in enumerate(steps):
-        width = len(step) if isinstance(step, list) else 1
+        width = _logged_width(step)
         if seen + width > done:
             tail = list(steps[index + 1 :])
             if isinstance(step, list):

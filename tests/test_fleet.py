@@ -438,6 +438,31 @@ class TestFleetApi:
         with pytest.raises(GameConfigError):
             engine.rank_of("ghost")
 
+    def test_rejected_checked_intake_leaves_the_guard_as_it_was(self):
+        catalog = OptimizationCatalog.from_costs({"g0": 10.0, "g1": 10.0})
+        engine = FleetEngine(catalog, horizon=5)
+        engine.place_bid("cara", "g0", AdditiveBid.over(2, [5.0]))
+
+        def batch(users, ranks):
+            return FleetBatch(
+                users=users,
+                opt_ranks=np.array(ranks),
+                starts=np.full(len(users), 2),
+                values=np.ones((len(users), 1)),
+            )
+
+        within = [batch(("ann", "bob"), [0, 1]), batch(("ann",), [0])]
+        before = [batch(("dan",), [1]), batch(("cara",), [0])]
+        for batches in (within, before):
+            with pytest.raises(GameConfigError, match="already bid"):
+                engine.ingest_many(batches, checked=True)
+        # Nothing was committed, and only cara's pair stays taken.
+        assert engine.epoch == 1 and len(engine.events) == 1
+        for user, opt in (("ann", "g0"), ("bob", "g1"), ("dan", "g1")):
+            engine.place_bid(user, opt, AdditiveBid.over(2, [5.0]))
+        with pytest.raises(GameConfigError, match="already bid"):
+            engine.place_bid("cara", "g0", AdditiveBid.over(2, [5.0]))
+
     def test_handle_bid_duplicating_bulk_bid_rejected(self):
         catalog = OptimizationCatalog.from_costs({"g0": 10.0, "g1": 10.0})
         engine = FleetEngine(catalog, horizon=5)
@@ -580,6 +605,17 @@ class TestFleetApi:
         engine.run_to_end()
         with pytest.raises(MechanismError):
             engine.advance_slot()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(st.one_of(st.integers(0, 40), st.integers(0, 2**62)), max_size=300)
+)
+def test_block_sort_is_numpys_stable_argsort(keys):
+    """Block layouts sort through a packed value sort; it must give the
+    stable argsort's permutation exactly, ties and huge keys included."""
+    keys = np.array(keys, dtype=np.int64)
+    assert (fleet_engine._stable_argsort(keys) == np.argsort(keys, kind="stable")).all()
 
 
 class TestStepChangedMany:

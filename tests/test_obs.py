@@ -24,7 +24,6 @@ from repro.gateway import (
     to_dict,
 )
 from repro.obs import (
-    DEFAULT_BUCKETS,
     DEFAULT_MAX_SERIES,
     MetricsRegistry,
     SpanRecorder,

@@ -49,6 +49,7 @@ from repro.gateway.envelopes import (
     Configure,
     ErrorReply,
     LedgerQuery,
+    MetricsRequest,
     ReviseBid,
     RunQuery,
     SubmitBids,
@@ -62,6 +63,7 @@ from repro.gateway.wal.checkpoint import (
     load_checkpoint,
 )
 from repro.gateway.wal.records import WAL_FILENAME, iter_jsonl, with_checksum
+from repro.gateway.wal.recovery import read_log
 
 OPTS = (("idx", 40.0), ("mv", 25.0))
 
@@ -428,7 +430,9 @@ def test_truncated_tail_recovers_to_the_last_valid_prefix():
     data = wal.read_bytes()
     wal.write_bytes(data[:-9])  # tear the final record mid-line
     recovered = PricingService.recover(directory)
-    assert durable_requests(directory) == 4  # the torn record is gone
+    # The torn AdvanceSlots record is gone (the trailing read was never
+    # logged).
+    assert durable_requests(directory) == 3
     # The torn bytes were physically truncated: appending works cleanly.
     reply = recovered.dispatch(LedgerQuery(tenant="ann"))
     assert not isinstance(reply, ErrorReply)
@@ -652,6 +656,91 @@ def test_a_format_1_checkpoint_is_refused_naming_both_formats(tmp_path):
     with pytest.raises(RecoveryError, match=refusal) as caught:
         PricingService.recover(directory)
     assert ErrorReply.of(caught.value).code == "recovery"
+
+
+def test_a_format_2_checkpoint_is_refused_naming_both_formats(tmp_path):
+    # Format 2 imaged the fleet's payments and grant maps, which format 3
+    # sums from the event log's rows.
+    directory = _durable_run(checkpoint_every=2, tmp=tmp_path)
+    for path in directory.glob(CHECKPOINT_GLOB):
+        state = {k: v for k, v in load_checkpoint(path).items() if k != "crc"}
+        path.write_text(with_checksum({**state, "format": 2}), encoding="utf-8")
+    refusal = f"format 2; this build reads only format {CHECKPOINT_FORMAT}"
+    with pytest.raises(RecoveryError, match=refusal) as caught:
+        PricingService.recover(directory)
+    assert ErrorReply.of(caught.value).code == "recovery"
+
+
+# ------------------------------------------------------------ pure reads --
+
+
+def _open_period(tmp_path) -> PricingService:
+    service = _service()
+    service.attach_wal(tmp_path)
+    run_steps(
+        service,
+        [
+            Configure(optimizations=OPTS, horizon=3),
+            [_submit("ann", "idx", 1, (30.0, 30.0))],
+        ],
+    )
+    return service
+
+
+def test_a_lone_read_appends_nothing_and_pays_no_fsync(tmp_path):
+    service = _open_period(tmp_path)
+    wal = service._wal
+    before = (wal.fsyncs, wal.last_seq)
+    service.dispatch(LedgerQuery(tenant="ann"))
+    service.dispatch(MetricsRequest())
+    service.dispatch([LedgerQuery(tenant="ann"), MetricsRequest()])
+    service.dispatch_json({"api": API_VERSION, "kind": "LedgerQuery", "tenant": "ann"})
+    assert (wal.fsyncs, wal.last_seq) == before
+    service.close()
+
+
+def test_a_mixed_batch_is_still_one_record_of_all_its_envelopes(tmp_path):
+    service = _open_period(tmp_path)
+    wal = service._wal
+    fsyncs = wal.fsyncs
+    service.dispatch(
+        [LedgerQuery(tenant="ann"), _submit("bob", "mv", 1, (25.0,)), MetricsRequest()]
+    )
+    assert wal.fsyncs == fsyncs + 1
+    service.close()
+    record = read_log(tmp_path).records[-1]
+    assert record.batch
+    assert [request["kind"] for request in record.requests] == [
+        "LedgerQuery",
+        "SubmitBids",
+        "MetricsRequest",
+    ]
+
+
+def test_recovery_with_reads_interleaved_matches_the_live_fingerprint(tmp_path):
+    service = _service()
+    service.attach_wal(tmp_path, checkpoint_every=2)
+    run_steps(
+        service,
+        [
+            Configure(optimizations=OPTS, horizon=3),
+            LedgerQuery(tenant="ann"),
+            [_submit("ann", "idx", 1, (30.0, 30.0)), LedgerQuery(tenant="bob")],
+            MetricsRequest(),
+            _submit("bob", "mv", 1, (25.0,), revisable=True),
+            AdvanceSlots(slots=1),
+            [LedgerQuery(tenant="ann"), MetricsRequest()],
+            LedgerQuery(tenant="bob"),
+            AdvanceSlots(slots=2),
+            LedgerQuery(tenant="ann"),
+        ],
+    )
+    live = fingerprint(service)
+    assert live["report"]["payments"]
+    service.close()
+    recovered = PricingService.recover(tmp_path)
+    assert fingerprint(recovered) == live
+    recovered.close()
 
 
 def test_run_to_end_is_logged_and_recoverable():
@@ -932,8 +1021,6 @@ def test_overlapping_segment_names_are_a_recovery_error(tmp_path):
 
 
 def test_read_log_stitches_segments_and_active_file(tmp_path):
-    from repro.gateway.wal.recovery import read_log
-
     directory, _ = _rotated_run(tmp_path, retain=2)
     log = read_log(directory)
     seqs = [record.seq for record in log.records]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, fields
+from itertools import repeat, starmap
 from typing import Iterator
 
 import numpy as np
@@ -93,49 +94,48 @@ KINDS = (
 )
 PLACED, REVISED, GRANTED, IMPLEMENTED, DEPARTED, CHARGED = range(len(KINDS))
 _CODE = {kind: code for code, kind in enumerate(KINDS)}
+_CODE_BYTES = [bytes((code,)) for code in range(len(KINDS))]
 #: Per kind, the names of the fields after ``slot`` (one or two).
 _FIELDS = tuple(tuple(f.name for f in fields(kind))[1:] for kind in KINDS)
 
 
 class EventLog:
-    """Append-only event history, stored as runs of rows.
+    """Append-only event history, stored as four columns.
 
-    Every event is one row: its first field after the slot (the user; an
-    implementation's optimization) in one object column. Consecutive
-    rows that share a kind, a slot and the very same second field
-    (detail, optimization, cost or amount; None for a departure) form a
-    run, which stores those three once: its kind code (an index into
-    :data:`KINDS`), slot, second field and first row. A slot's
-    departures, one bulk batch's placements or one game step's grants
-    are each one run, so a row costs one reference to an object the
-    caller already holds. :meth:`append` and :meth:`extend` add rows
-    without building an event; :meth:`record` takes an event object.
-    Events are built only when read. What each read costs, for ``n``
-    rows in ``r`` runs:
+    Every event is one row: its kind code (an index into :data:`KINDS`),
+    its slot, its first field after the slot (the user; an
+    implementation's optimization) and its second field (detail,
+    optimization, cost or amount; None for a departure). The object
+    columns reference objects the caller already holds, so a row costs
+    25 bytes. :meth:`append` and :meth:`extend` add rows without building
+    an event; :meth:`record` takes an event object. Events are built
+    only when read. What each read costs, for ``n`` rows:
 
     * ``len`` — O(1);
-    * :meth:`column` — one numpy pass over the runs' kind codes, then
-      the matching rows, no events;
-    * :meth:`of_type`/:meth:`in_slot` — one numpy pass over the runs,
-      then one event built per matching row;
+    * :meth:`column` — one numpy pass over the kind codes, then one
+      read per matching row, no events;
+    * :meth:`of_type`/:meth:`in_slot` — one numpy pass over the kind or
+      slot column, then one event built per matching row;
     * ``==`` — O(n), builds no events;
     * :meth:`all` — n events built.
     """
 
     def __init__(self) -> None:
-        self._firsts: list = []  # per row
-        self._starts = array("q")  # per run: its first row
-        self._kinds = bytearray()  # per run
-        self._slots = array("q")  # per run
-        self._seconds: list = []  # per run
+        self._kinds = bytearray()
+        self._slots = array("q")
+        self._firsts: list = []
+        self._seconds: list = []
 
     def __eq__(self, other: object) -> bool:
         """Logs are equal when their event sequences are (wire contract:
         a gateway round-trip must reproduce the history event for event)."""
         if not isinstance(other, EventLog):
             return NotImplemented
-        return self._firsts == other._firsts and all(
-            mine == theirs for mine, theirs in zip(self.rows(), other.rows())
+        return (
+            self._kinds == other._kinds
+            and self._slots == other._slots
+            and self._firsts == other._firsts
+            and self._seconds == other._seconds
         )
 
     __hash__ = None  # append-only log: identity hashing would lie across edits
@@ -154,83 +154,65 @@ class EventLog:
 
     def append(self, kind: int, slot: int, first, second=None) -> None:
         """Append one row of kind code ``kind`` (see the class docstring)."""
-        self._run(kind, slot, second)
+        self._kinds.append(kind)
+        self._slots.append(slot)
         self._firsts.append(first)
+        self._seconds.append(second)
 
     def extend(self, kind: int, slot: int, firsts, second=None) -> None:
         """Append one row of ``kind`` at ``slot`` per item of the sequence
         ``firsts``, every row sharing ``second``."""
-        if len(firsts):
-            self._run(kind, slot, second)
-            self._firsts += firsts
-
-    def _run(self, kind: int, slot: int, second) -> None:
-        """Open a run for the next rows unless the last one fits them."""
-        kinds = self._kinds
-        if not (
-            kinds
-            and kinds[-1] == kind
-            and self._slots[-1] == slot
-            and self._seconds[-1] is second
-        ):
-            self._starts.append(len(self._firsts))
-            kinds.append(kind)
-            self._slots.append(slot)
-            self._seconds.append(second)
-
-    def _runs(self, picked=None) -> Iterator[tuple]:
-        """``(kind, slot, second, first fields)`` per run, in order; only
-        the runs at the positions ``picked`` (an array), when given."""
-        kinds, slots, seconds = self._kinds, self._slots, self._seconds
-        starts, firsts = self._starts, self._firsts
-        n = len(starts)
-        for i in range(n) if picked is None else picked.tolist():
-            end = starts[i + 1] if i + 1 < n else len(firsts)
-            yield KINDS[kinds[i]], slots[i], seconds[i], firsts[starts[i] : end]
+        n = len(firsts)
+        self._kinds += _CODE_BYTES[kind] * n
+        self._slots.extend(repeat(slot, n))
+        self._firsts += firsts
+        self._seconds += [second] * n
 
     def rows(self) -> Iterator[tuple]:
         """``(kind, slot, first, second)`` per row, in order; the kind is
         the event class."""
-        return (
-            (kind, slot, first, second)
-            for kind, slot, second, firsts in self._runs()
-            for first in firsts
+        return zip(
+            map(KINDS.__getitem__, self._kinds),
+            self._slots,
+            self._firsts,
+            self._seconds,
         )
 
     def column(self, kind: type, field: str) -> list:
         """One field of every event of exactly one kind, in order."""
         code = _CODE[kind]
-        first = field == _FIELDS[code][0]
-        picked = np.flatnonzero(np.frombuffer(self._kinds, np.uint8) == code)
-        out: list = []
-        for _, slot, second, firsts in self._runs(picked):
-            if first:
-                out += firsts
-            else:
-                out += (slot if field == "slot" else second,) * len(firsts)
-        return out
+        picked = np.flatnonzero(self._codes() == code)
+        if field == "slot":
+            return np.frombuffer(self._slots, np.int64)[picked].tolist()
+        values = self._firsts if field == _FIELDS[code][0] else self._seconds
+        return [values[i] for i in picked.tolist()]
 
     def all(self) -> list[Event]:
         """Every event in order."""
-        return [_build(*row) for row in self.rows()]
+        return list(starmap(_build, self.rows()))
 
     def of_type(self, event_type: type) -> Iterator[Event]:
         """Events of one type (subclasses included), in order."""
         codes = [
             code for code, kind in enumerate(KINDS) if issubclass(kind, event_type)
         ]
-        return self._built(np.isin(np.frombuffer(self._kinds, np.uint8), codes))
+        return self._built(np.isin(self._codes(), codes))
 
     def in_slot(self, slot: int) -> Iterator[Event]:
         """Events of one slot, in order."""
         return self._built(np.frombuffer(self._slots, np.int64) == slot)
 
-    def _built(self, runs: np.ndarray) -> Iterator[Event]:
-        """The events of the runs where ``runs`` (a per-run mask) is set."""
+    def _codes(self) -> np.ndarray:
+        """The kind codes, one per row, as a read-only array."""
+        return np.frombuffer(self._kinds, np.uint8)
+
+    def _built(self, picked: np.ndarray) -> Iterator[Event]:
+        """The events of the rows where ``picked`` (a row mask) is set."""
+        kinds, slots = self._kinds, self._slots
+        firsts, seconds = self._firsts, self._seconds
         return (
-            _build(kind, slot, first, second)
-            for kind, slot, second, firsts in self._runs(np.flatnonzero(runs))
-            for first in firsts
+            _build(KINDS[kinds[i]], slots[i], firsts[i], seconds[i])
+            for i in np.flatnonzero(picked).tolist()
         )
 
     def __len__(self) -> int:

@@ -26,7 +26,8 @@ class BillingLedger:
     """Double-purpose book: user invoices and cloud build outlays.
 
     Lines are stored as five columns (slot, kind, party, amount, memo)
-    and built as :class:`LedgerEntry` objects only when read. Parties
+    and built as :class:`LedgerEntry` objects only when read (the entry
+    :meth:`invoice` and :meth:`build_outlay` return is not kept). Parties
     must be hashable: a per-party index lists each party's invoice
     lines. What each read costs, for ``n`` lines:
 
@@ -72,18 +73,6 @@ class BillingLedger:
 
     def invoice(self, slot: int, user, amount: float, memo: str = "") -> LedgerEntry:
         """Record a user payment (at her departure slot)."""
-        self.add_invoice(slot, user, amount, memo)
-        return self._entry(len(self._slots) - 1)
-
-    def build_outlay(
-        self, slot: int, optimization, cost: float, memo: str = ""
-    ) -> LedgerEntry:
-        """Record the cloud paying to implement an optimization."""
-        self.add_outlay(slot, optimization, cost, memo)
-        return self._entry(len(self._slots) - 1)
-
-    def add_invoice(self, slot: int, user, amount: float, memo: str = "") -> None:
-        """:meth:`invoice` without building the returned entry."""
         if amount < 0:
             raise GameConfigError(f"invoice amounts must be >= 0, got {amount}")
         at = self._invoices.get(user)
@@ -93,25 +82,30 @@ class BillingLedger:
             self._invoices[user] = [at, len(self._slots)]
         else:
             at.append(len(self._slots))
-        self._append(slot, _INVOICE, user, amount, memo)
         self._invoiced.append(amount)
         self._revenue = None
+        return self._append(slot, _INVOICE, user, amount, memo)
 
-    def add_outlay(self, slot: int, optimization, cost: float, memo: str = "") -> None:
-        """:meth:`build_outlay` without building the returned entry."""
+    def build_outlay(
+        self, slot: int, optimization, cost: float, memo: str = ""
+    ) -> LedgerEntry:
+        """Record the cloud paying to implement an optimization."""
         if cost <= 0:
             raise GameConfigError(f"build costs must be positive, got {cost}")
         amount = -cost
-        self._append(slot, _BUILD, optimization, amount, memo)
         self._built.append(amount)
         self._outlays = None
+        return self._append(slot, _BUILD, optimization, amount, memo)
 
-    def _append(self, slot: int, kind: str, party, amount, memo: str) -> None:
+    def _append(self, slot: int, kind: str, party, amount, memo: str) -> LedgerEntry:
+        """Add one line to the columns; returns it as an entry, which
+        the book itself does not keep."""
         self._slots.append(slot)
         self._kinds.append(kind)
         self._parties.append(party)
         self._amounts.append(amount)
         self._memos.append(memo)
+        return LedgerEntry(slot, kind, party, amount, memo)
 
     def _entry(self, i: int) -> LedgerEntry:
         return LedgerEntry(

@@ -208,7 +208,9 @@ class _Block:
     the slot loop visits (games at or after their flush slot) as
     ``(slot, rank, lo, hi)`` arrays consumed through ``gp``; ``deps`` the
     departures as ``(slot, rank, row)`` arrays consumed through ``dp``.
-    ``last`` is the block's last entry slot.
+    ``walk_next``/``deps_next`` cache, as Python ints, the slot each
+    pointer waits on, so a slot with nothing in this block costs no numpy
+    call. ``last`` is the block's last entry slot.
     """
 
     def prefix(self, keys: np.ndarray, span: int) -> tuple:
@@ -241,14 +243,23 @@ class _Block:
             self.gbound[live],
             self.gbound[live + 1],
         )
-        self.gp = 0
+        self.walk_to(0)
+
+    def walk_to(self, gp: int) -> None:
+        """Point the walk at group ``gp``."""
+        self.gp = gp
+        wslot = self.walk[0]
+        self.walk_next = int(wslot[gp]) if gp < len(wslot) else _NEVER
+
+    def deps_to(self, dp: int) -> None:
+        """Point the departures at entry ``dp``."""
+        self.dp = dp
+        dslot = self.deps[0]
+        self.deps_next = int(dslot[dp]) if dp < len(dslot) else _NEVER
 
     def next_slot(self) -> int:
         """Earliest slot this block has a walk group or a departure at."""
-        wslot = self.walk[0]
-        dslot = self.deps[0]
-        walk = int(wslot[self.gp]) if self.gp < len(wslot) else _NEVER
-        return min(walk, int(dslot[self.dp]) if self.dp < len(dslot) else _NEVER)
+        return min(self.walk_next, self.deps_next)
 
 
 class FleetEngine:
@@ -685,7 +696,7 @@ class FleetEngine:
         by_slot = _stable_argsort(dep_rows)
         by_slot = by_slot[_stable_argsort(dep_slots[by_slot])]
         block.deps = (dep_slots[by_slot], dep_ranks[by_slot], dep_rows[by_slot])
-        block.dp = 0
+        block.deps_to(0)
         block.last = int(slots_s[-1])
         return block, order, g_start
 
@@ -777,17 +788,18 @@ class FleetEngine:
         """
         steps: list = []
         for block in self._blocks:
+            if block.walk_next > t:
+                continue
             wslot, wrank, wlo, whi = block.walk
             gp = block.gp
-            end = int(np.searchsorted(wslot, t, side="right"))
-            if end > gp:
-                steps += zip(
-                    wrank[gp:end].tolist(),
-                    repeat(block),
-                    wlo[gp:end].tolist(),
-                    whi[gp:end].tolist(),
-                )
-                block.gp = end
+            end = int(wslot.searchsorted(t, side="right"))
+            steps += zip(
+                wrank[gp:end].tolist(),
+                repeat(block),
+                wlo[gp:end].tolist(),
+                whi[gp:end].tolist(),
+            )
+            block.walk_to(end)
         if len(self._blocks) > 1:
             steps.sort(key=itemgetter(0))  # stable: block order per game
         hot = self._hot
@@ -849,7 +861,7 @@ class FleetEngine:
         if state.implemented_at == t:
             cost = state.cost
             self._implemented[optimization] = t
-            self.ledger.add_outlay(t, optimization, cost)
+            self.ledger.build_outlay(t, optimization, cost)
             self.events.append(IMPLEMENTED, t, optimization, cost)
 
     def _invoice_departures(self, t: int) -> None:
@@ -864,13 +876,14 @@ class FleetEngine:
         rows: list = []
         ranks: list = []
         for block in self._blocks:
+            if block.deps_next > t:
+                continue
             dep_slots, dep_ranks, dep_rows = block.deps
             dp = block.dp
             end = int(dep_slots.searchsorted(t, side="right"))
-            if end > dp:
-                rows += dep_rows[dp:end].tolist()
-                ranks += dep_ranks[dp:end].tolist()
-                block.dp = end
+            rows += dep_rows[dp:end].tolist()
+            ranks += dep_ranks[dp:end].tolist()
+            block.deps_to(end)
         if not rows:
             return
         names = self._users
@@ -889,7 +902,7 @@ class FleetEngine:
             if hot[rank]:
                 amount = states[rank].exit_price(user)
                 if amount > 0:
-                    self.ledger.add_invoice(t, user, amount, memo=self._details[rank])
+                    self.ledger.invoice(t, user, amount, memo=self._details[rank])
                     self.events.append(CHARGED, t, user, amount)
                     self._game_revenue[rank] += amount
         self.events.extend(DEPARTED, t, list(dict.fromkeys(users)))

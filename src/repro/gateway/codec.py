@@ -335,9 +335,9 @@ def _dec_ledger(d: dict) -> BillingLedger:
         amount = float(_field(raw, "amount"))
         memo = str(_field(raw, "memo"))
         if kind == "invoice":
-            ledger.add_invoice(slot, party, amount, memo)
+            ledger.invoice(slot, party, amount, memo)
         elif kind == "build":
-            ledger.add_outlay(slot, party, -amount, memo)
+            ledger.build_outlay(slot, party, -amount, memo)
         else:
             raise ProtocolError(f"unknown ledger entry kind {kind!r}")
     return ledger
@@ -747,8 +747,8 @@ def _dec_block(d: dict) -> _Block:
     block.offsets = [int(x) for x in _field(d, "offsets")]
     block.walk = tuple(_dec_array(c, _INT) for c in _field(d, "walk"))
     block.deps = tuple(_dec_array(c, _INT) for c in _field(d, "deps"))
-    block.gp = int(_field(d, "gp"))
-    block.dp = int(_field(d, "dp"))
+    block.walk_to(int(_field(d, "gp")))
+    block.deps_to(int(_field(d, "dp")))
     block.last = int(_field(d, "last"))
     return block
 

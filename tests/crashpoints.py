@@ -117,17 +117,19 @@ def _logged_width(step) -> int:
 def continuation(steps, done: int) -> list:
     """The workload tail after ``done`` durable request envelopes.
 
-    Walks ``steps`` counting flattened logged envelopes (a read after
-    the last durable one is skipped: it changed nothing, so the tail may
-    start after it); a list step that was only partially durable resumes
-    mid-list (that can only happen when the crash hit before the run's
-    atomic WAL record, i.e. ``done`` lands on the step's start — but
-    slicing handles either way).
+    Walks ``steps`` counting flattened logged envelopes; the tail starts
+    at the first step not wholly durable, or at an unlogged read that
+    directly follows the last durable envelope (reads change nothing, so
+    re-running one on the recovered service is safe, and its reply is
+    compared like any other). A list step that was only partially
+    durable resumes mid-list (that can only happen when the crash hit
+    before the run's atomic WAL record, i.e. ``done`` lands on the
+    step's start — but slicing handles either way).
     """
     seen = 0
     for index, step in enumerate(steps):
         width = _logged_width(step)
-        if seen + width > done:
+        if seen + width > done or (width == 0 and seen == done):
             tail = list(steps[index + 1 :])
             if isinstance(step, list):
                 remainder = step[done - seen :]

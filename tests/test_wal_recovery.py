@@ -434,9 +434,11 @@ def test_truncated_tail_recovers_to_the_last_valid_prefix():
     # logged).
     assert durable_requests(directory) == 3
     # The torn bytes were physically truncated: appending works cleanly.
-    reply = recovered.dispatch(LedgerQuery(tenant="ann"))
+    reply = recovered.dispatch(AdvanceSlots(slots=1))
     assert not isinstance(reply, ErrorReply)
+    assert durable_requests(directory) == 4
     lines = list(iter_jsonl(wal))
+    assert len(lines) == 4
     assert all(line.error is None for line in lines)
     assert all(line.complete for line in lines)
     recovered.close()

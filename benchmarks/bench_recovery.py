@@ -75,7 +75,7 @@ from repro.gateway.envelopes import (
     RunQuery,
     SubmitBids,
 )
-from repro.gateway.service import PricingService
+from repro.gateway.service import BulkAcks, PricingService
 from repro.gateway.wal import recovery
 from repro.gateway.wal.checkpoint import (
     CHECKPOINT_GLOB,
@@ -223,8 +223,9 @@ def measure_steady_point(
         try:
             started = time.perf_counter()
             acks = service.dispatch(intake)
-            if acks.failed is not None:
-                raise AssertionError(f"bulk intake failed: {acks.failed}")
+            if not isinstance(acks, BulkAcks):  # an envelope was refused
+                refused = [r for r in acks if isinstance(r, ErrorReply)]
+                raise AssertionError(f"bulk intake failed: {refused[0]}")
             burst = time.perf_counter() - started
             started = time.perf_counter()
             for step in rounds_steps:
@@ -418,7 +419,7 @@ def measure_bulk_tail(games: int, users: int, slots: int) -> dict:
         live_dir = Path(tmp) / "live"
         service = PricingService(costs, horizon=slots)
         service.attach_wal(live_dir)
-        if service.dispatch(intake).failed is not None:
+        if not isinstance(service.dispatch(intake), BulkAcks):
             raise AssertionError("bulk intake failed")
         del intake
         service.dispatch(AdvanceSlots(slots=slots // 2))

@@ -4,9 +4,10 @@ Every speedup benchmark records its result through :func:`record`, which
 writes one JSON file per benchmark under ``benchmarks/results/`` and
 merges the same entry into the top-level ``BENCH.json`` so the
 repository carries a machine-readable trajectory (speedup, scale, seed,
-commit) rather than only ad-hoc text tables. Its committed version is
-the regression baseline: ``benchmarks/check_regression.py`` compares
-fresh results against it and fails CI on a >20% speedup regression.
+commit, and a hash of any uncommitted diff) rather than only ad-hoc text
+tables. Its committed version is the regression baseline:
+``benchmarks/check_regression.py`` compares fresh results against it and
+fails CI on a >20% speedup regression.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``) is for CI: benchmarks shrink their
 scales via :func:`scale` and skip their perf-floor assertions (see
@@ -17,6 +18,7 @@ smoke mode are flagged as such and never overwrite full-run numbers.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import platform
@@ -69,6 +71,30 @@ def _git_commit() -> str:
         return "unknown"
 
 
+def _git_dirty(root: Path = ROOT) -> str | None:
+    """None on a clean tree, else 12 hex digits of the SHA-256 of ``git
+    diff HEAD`` over tracked files, so numbers measured on an uncommitted
+    tree are told apart from the commit they are stamped with.
+
+    ``BENCH.json`` and ``benchmarks/results/`` are left out: the harness
+    itself rewrites them during a run.
+    """
+    try:
+        diff = subprocess.run(
+            [
+                "git", "diff", "HEAD", "--no-color", "--no-ext-diff", "--",
+                ".", ":(exclude)BENCH.json", ":(exclude)benchmarks/results",
+            ],
+            cwd=root,
+            capture_output=True,
+            timeout=10,
+            check=True,
+        ).stdout
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return hashlib.sha256(diff).hexdigest()[:12] if diff else None
+
+
 def record(
     name: str,
     *,
@@ -92,6 +118,7 @@ def record(
         "seed": int(seed),
         "floor": None if floor is None else float(floor),
         "commit": _git_commit(),
+        "dirty": _git_dirty(),
         "python": platform.python_version(),
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "smoke": smoke(),

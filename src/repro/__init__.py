@@ -32,7 +32,7 @@ import importlib
 
 from repro import obs
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "__version__",

@@ -60,7 +60,9 @@ class RevisableBid:
         ``new_values`` maps slots to their revised values. Every revised slot
         must be ``>= at_slot`` (no retroactive changes) and every revised
         value must be ``>=`` the current value (upward-only). Slots beyond
-        the current ``end`` extend the interval, so ``e_i`` can only grow.
+        the current ``end`` extend the interval, so ``e_i`` can only grow —
+        while the stay lasts: a revision after ``end`` would reopen a
+        departed stay (and invoice it twice), so it is refused.
         """
         revisions = self._revisions
         last_slot = revisions[-1][0] if revisions else self._declared_at
@@ -68,6 +70,11 @@ class RevisableBid:
         if at_slot < last_slot:
             raise RevisionError(
                 f"revision at slot {at_slot} precedes last revision at {last_slot}"
+            )
+        if at_slot > current.end:
+            raise RevisionError(
+                f"revision at slot {at_slot} reopens a stay that ended at "
+                f"slot {current.end}"
             )
         if not new_values:
             raise RevisionError("a revision must change at least one slot")

@@ -198,8 +198,8 @@ def measure_gateway_point(
     process is not scheduled.
     """
     from repro.gateway import codec
-    from repro.gateway.envelopes import SubmitBids
-    from repro.gateway.service import PricingService
+    from repro.gateway.envelopes import ErrorReply, SubmitBids
+    from repro.gateway.service import BulkAcks, PricingService
 
     costs = fleet_game_costs(seed, games, mean_cost)
     batches = fleet_batches(seed + 1, users, games, slots, max_duration)
@@ -266,8 +266,9 @@ def measure_gateway_point(
                 OptimizationCatalog.from_costs(costs), horizon=slots
             )
             acks = service.dispatch(requests)
-            if getattr(acks, "failed", None) is not None:
-                raise AssertionError(f"bulk dispatch failed: {acks.failed}")
+            if not isinstance(acks, BulkAcks):  # an envelope was refused
+                refused = [r for r in acks if isinstance(r, ErrorReply)]
+                raise AssertionError(f"bulk dispatch failed: {refused[0]}")
             return service.run_to_end()
 
         return _timed(run)

@@ -480,8 +480,8 @@ class FleetEngine:
         they cannot be revised later (use :meth:`place_bid` for that).
         Every batch is validated before *any* batch is committed, so a
         bad batch in the middle cannot leave earlier ones scheduled — the
-        all-or-nothing property untrusted boundaries (the gateway's
-        batched dispatch) build their own contract on. Every bid still
+        all-or-nothing property the gateway's bulk intake splits refused
+        runs on, to give each envelope its own verdict. Every bid still
         gets its ``BidPlaced`` row, so the event log stays complete.
 
         Bulk intake trusts its generator for one bid per (user,

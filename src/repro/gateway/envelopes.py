@@ -11,7 +11,7 @@ Wire shape
 ----------
 A serialized envelope is a flat JSON object::
 
-    {"api": "1.9", "kind": "SubmitBids", "tenant": "ann", "bids": [...]}
+    {"api": "1.10", "kind": "SubmitBids", "tenant": "ann", "bids": [...]}
 
 ``api`` is :data:`API_VERSION` (checked on decode; a mismatch raises
 :class:`~repro.errors.ProtocolError` with code ``"version"``), ``kind``
@@ -98,7 +98,11 @@ __all__ = [
 #: 1.9 deleted the fleet's shard count: games step in catalog order
 #: within a slot, and a :class:`Configure` or :class:`AdviseRequest` that
 #: still carries ``shards`` is refused as an unknown field.
-API_VERSION = "1.9"
+#: 1.10 gave every :class:`SubmitBids` its own verdict: a batch no longer
+#: shares one all-or-nothing verdict before the first slot, and a
+#: non-revisable bid is bulk-ingested at every slot, batched or alone,
+#: so it logs ``BidPlaced`` with an empty detail and cannot be revised.
+API_VERSION = "1.10"
 
 #: Query kinds :class:`RunQuery` accepts (the astronomy workload surface).
 QUERY_KINDS = ("members", "histogram", "top", "chain", "contributors")
@@ -184,11 +188,13 @@ class SubmitBids(Request):
 
     ``values`` is the per-slot value schedule from ``start`` on — exactly
     an :class:`~repro.bids.AdditiveBid`'s constructor arguments.
-    ``revisable`` marks bids a later :class:`ReviseBid` will touch: every
-    bid becomes one row of the fleet's columnar store either way, but only
-    a revisable bid keeps the handle a revision needs, so a batched
-    dispatch before the first slot ingests non-revisable runs in bulk and
-    places revisable ones one by one.
+    ``revisable`` is the only switch between the two commit forms, at
+    every slot: a non-revisable envelope is bulk-ingested (with the
+    consecutive non-revisable envelopes of its batch), a revisable one is
+    placed bid by bid and keeps the handle a later :class:`ReviseBid`
+    needs. Every bid becomes one row of the fleet's columnar store either
+    way, and every envelope gets the reply it would get if dispatched
+    alone.
     """
 
     tenant: object

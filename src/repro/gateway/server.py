@@ -235,7 +235,8 @@ class GatewayServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.Server | None = None
         self._address: tuple[str, int] | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
+        # One entry per open connection: its handler task -> its writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._queue: list[_Entry] = []
         self._flush_task: asyncio.Task | None = None
         self._flush_lock: asyncio.Lock | None = None
@@ -267,16 +268,22 @@ class GatewayServer:
         return self._address
 
     async def drain(self) -> None:
-        """Graceful shutdown: stop accepting, finish queued work,
-        checkpoint a durable service, close every connection."""
+        """Graceful shutdown: stop accepting, finish queued work, close
+        every connection (waiting up to 1 s for its handler to return),
+        checkpoint a durable service."""
         self._draining = True
         if self._server is not None:
             self._server.close()
         while self._queue or self._pending or self._flush_task is not None:
             await asyncio.sleep(0.001)
-        for writer in list(self._writers):
+        for writer in list(self._connections.values()):
             with contextlib.suppress(Exception):
                 writer.close()
+        if self._connections:
+            # A closed writer ends its connection's pending read with EOF;
+            # let the handlers return instead of being cancelled mid-read
+            # when the loop shuts down.
+            await asyncio.wait(list(self._connections), timeout=1.0)
         try:
             self.service.checkpoint()
         except GameConfigError:
@@ -288,7 +295,7 @@ class GatewayServer:
         in the WAL fsync, not in orderly shutdown."""
         if self._server is not None:
             self._server.close()
-        for writer in list(self._writers):
+        for writer in list(self._connections.values()):
             transport = writer.transport
             if transport is not None:
                 transport.abort()
@@ -296,13 +303,14 @@ class GatewayServer:
     # ------------------------------------------------------- connections --
 
     async def _on_connection(self, reader, writer) -> None:
-        self._writers.add(writer)
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             await self._serve_connection(reader, writer)
         except (ConnectionError, _TornRequest):
             pass  # peer vanished; whatever was half-read never happened
         finally:
-            self._writers.discard(writer)
+            del self._connections[task]
             with contextlib.suppress(Exception):
                 writer.close()
 

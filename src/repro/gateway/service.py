@@ -16,16 +16,18 @@ Contracts (tested in ``tests/test_gateway.py``):
   ``dispatch_json`` is the wire-level twin (dicts in, dicts out) and
   additionally converts decode-time junk into error replies, so a JSONL
   transport never sees an exception at all.
-* **The batched hot path survives the boundary.** ``dispatch`` of a
-  request *sequence* groups consecutive pre-period :class:`SubmitBids`
-  envelopes into
-  columnar :class:`~repro.fleet.engine.FleetBatch` blocks — duration-major
-  and request-ordered, exactly the layout
-  :func:`repro.workloads.fleet.fleet_batches` emits — and bulk-ingests
-  them, so gateway outcomes and metered costs are bit-identical to
-  driving the :class:`FleetEngine` directly
-  (``benchmarks/bench_gateway.py`` holds the dispatch overhead under
-  15% at 50,000 users).
+* **One intake rule, a verdict per envelope.** Every maximal run of
+  consecutive non-revisable :class:`SubmitBids` envelopes, at any slot,
+  batched or alone, is bulk-ingested as columnar
+  :class:`~repro.fleet.engine.FleetBatch` blocks — duration-major and
+  request-ordered, exactly the layout
+  :func:`repro.workloads.fleet.fleet_batches` emits — so gateway outcomes
+  and metered costs are bit-identical to driving the
+  :class:`FleetEngine` directly (``benchmarks/bench_gateway.py`` holds
+  the dispatch overhead under 15% at 50,000 users). A revisable envelope
+  is placed bid by bid and keeps the handle a :class:`ReviseBid` needs.
+  Either way every envelope gets exactly the reply it would get if
+  dispatched alone: one tenant's bad bid never fails another's.
 * **Slot-synchronized.** One :class:`AdvanceSlots` request moves every
   game in lock step; there is no per-game clock to drift.
 * **Snapshot-isolated reads.** Every :class:`RunQuery` pins one catalog
@@ -38,7 +40,6 @@ Contracts (tested in ``tests/test_gateway.py``):
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from itertools import chain
 from pathlib import Path
@@ -132,33 +133,22 @@ _PURE_READS = (LedgerQuery, MetricsRequest)
 
 
 class BulkAcks(Sequence):
-    """Lazily materialized acknowledgments of one bulk-ingested run.
+    """Lazily built acknowledgments of one bulk-ingested run.
 
-    Bulk intake is all-or-nothing (one bad bid fails the whole run, like
-    one bad row failing an ``ingest``), so the acks of a 50,000-envelope
-    run carry one bit of news plus each request's own echo. Building
-    50,000 reply objects eagerly would tax the hot path for information
-    the client already holds; this sequence constructs each
-    :class:`BidsReply` (or the run's shared :class:`ErrorReply`) only
-    when it is actually read. ``failed`` answers the all-or-nothing
-    verdict in O(1).
+    A :class:`BulkAcks` means every envelope of the run landed, so its
+    acks carry nothing the client does not already hold except the slot:
+    building 50,000 reply objects eagerly would tax the hot path for
+    that. Each :class:`BidsReply` is constructed only when it is read. A
+    run holding a refused envelope comes back as a plain list instead.
     """
 
-    __slots__ = ("_requests", "_slot", "_error")
+    __slots__ = ("_requests", "_slot")
 
-    def __init__(self, requests, slot: int, error) -> None:
+    def __init__(self, requests, slot: int) -> None:
         self._requests = requests
         self._slot = slot
-        self._error = error
-
-    @property
-    def failed(self):
-        """The run's shared :class:`ErrorReply`, or None on success."""
-        return self._error
 
     def _make(self, request) -> Reply:
-        if self._error is not None:
-            return self._error
         # Same fast path as the facade: bypass the frozen dataclass's
         # per-field object.__setattr__; indistinguishable from __init__'s.
         reply = BidsReply.__new__(BidsReply)
@@ -174,43 +164,6 @@ class BulkAcks(Sequence):
         if isinstance(index, slice):
             return [self._make(r) for r in self._requests[index]]
         return self._make(self._requests[index])
-
-
-class _ChainedReplies(Sequence):
-    """Lazily concatenated reply segments of one mixed dispatch batch.
-
-    Keeps :class:`BulkAcks` segments lazy instead of materializing them
-    into one flat list — a 50k-envelope bulk run followed by a single
-    ``AdvanceSlots`` should not pay per-reply construction it avoided in
-    the pure-bulk case.
-    """
-
-    __slots__ = ("_parts", "_offsets")
-
-    def __init__(self, parts) -> None:
-        self._parts = parts
-        offsets = [0]
-        for part in parts:
-            offsets.append(offsets[-1] + len(part))
-        self._offsets = offsets
-
-    def __len__(self) -> int:
-        return self._offsets[-1]
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        n = len(self)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError(index)
-        part = bisect_right(self._offsets, index) - 1
-        return self._parts[part][index - self._offsets[part]]
-
-    def __iter__(self):
-        for part in self._parts:
-            yield from part
 
 
 class PricingService:
@@ -362,9 +315,10 @@ class PricingService:
         sequence in, a reply sequence out; errors come back as data.
 
         A single :class:`Request` dispatches alone. Any other (non-dict,
-        non-string) iterable dispatches as a **batch**, preserving the
-        fleet's columnar hot path and group-commit semantics (see
-        :meth:`_dispatch_batch`). Wire-level dicts are not accepted here
+        non-string) iterable dispatches as a **batch**: one group commit
+        and the fleet's columnar hot path, with each envelope getting the
+        reply it would get alone (see :meth:`_dispatch_batch`).
+        Wire-level dicts are not accepted here
         — they go through :meth:`dispatch_json` — and arrive back as a
         ``protocol``-coded :class:`ErrorReply` like every other
         request-shaped failure.
@@ -419,32 +373,24 @@ class PricingService:
         return reply
 
     def _dispatch_batch(self, requests: list) -> Sequence[Reply]:
-        """Dispatch a batch, preserving the fleet's columnar hot path.
+        """Dispatch a batch; each envelope gets the reply it would get alone.
 
-        Runs of non-revisable :class:`SubmitBids` envelopes arriving
-        before the first slot are ingested as :class:`FleetBatch` blocks
-        instead of one :meth:`~repro.fleet.engine.FleetEngine.place_bid`
-        call per bid; like bulk-ingested bids everywhere, they cannot be
-        revised later. Later envelopes are placed one by one, each with
-        its own verdict, so a retroactive bid fails only its own
-        envelope, not every tenant's in the batch. Replies come back in
-        request order either way; bulk runs stay lazy (:class:`BulkAcks`
-        segments, all-or-nothing) whether the batch is pure bulk or
-        mixed with other requests.
+        Every maximal run of consecutive non-revisable :class:`SubmitBids`
+        is bulk-ingested (:meth:`_ingest_run`); every other envelope
+        dispatches on its own. Replies come back in request order: a
+        batch that is one clean run as its lazy :class:`BulkAcks`, any
+        other batch as a list.
 
         On a durable service the whole call is the **group-commit**
-        boundary: one atomic WAL record (one fsync) covers every
-        envelope, appended before any effect applies. Recovery replays
-        the record through the batched dispatch path as a unit, so the
-        partitioning below reruns deterministically and the
-        :class:`BulkAcks` all-or-nothing contract holds across a crash
-        at any boundary.
+        boundary: one WAL record (one fsync) covers every envelope,
+        appended before any effect applies. Recovery replays the record
+        through this method as a unit, so the runs are cut and ingested
+        the same way again and the state lands bit-identical.
         """
         if self._closed:
             # No batching on a closed service: every envelope gets its
             # own "closed" ErrorReply, nothing touches the WAL.
             return [self.dispatch(request) for request in requests]
-        requests = list(requests)
         if self._wal is not None and not all(
             isinstance(request, _PURE_READS) for request in requests
         ):
@@ -452,45 +398,22 @@ class PricingService:
                 self.db.epoch, [to_dict(r) for r in requests]
             )
             self._records_since_checkpoint += 1
-        parts: list = []
-        singles: list[Reply] = []
-        pending: list[SubmitBids] = []
-        pending_append = pending.append
-        # Hoisted out of the loop: the clock only moves when a
-        # non-SubmitBids request is dispatched (slot advance, reconfigure).
-        bulk_open = self._bulk_open()
+        replies: list = []
+        run: list[SubmitBids] = []
         for request in requests:
-            if (
-                bulk_open
-                and isinstance(request, SubmitBids)
-                and not request.revisable
-            ):
-                pending_append(request)
+            if isinstance(request, SubmitBids) and not request.revisable:
+                run.append(request)
                 continue
-            if pending:
-                if singles:
-                    parts.append(singles)
-                    singles = []
-                parts.append(self._ingest_bulk(pending))
-                self._probe("apply:done")
-                pending = []
-                pending_append = pending.append
-            singles.append(self._dispatch_one(request, log=False))
-            bulk_open = self._bulk_open()
-        if pending:
-            if singles:
-                parts.append(singles)
-                singles = []
-            parts.append(self._ingest_bulk(pending))
-            self._probe("apply:done")
-        if singles:
-            parts.append(singles)
+            if run:
+                replies.extend(self._ingest_run(run))
+                run = []
+            replies.append(self._dispatch_one(request, log=False))
+        if run and replies:
+            replies.extend(self._ingest_run(run))
+        elif run:
+            replies = self._ingest_run(run)  # one clean run stays lazy
         self._maybe_checkpoint()
-        if not parts:
-            return []
-        if len(parts) == 1:
-            return parts[0]
-        return _ChainedReplies(parts)
+        return replies
 
     def dispatch_json(self, payload) -> dict:
         """Wire-level dispatch: JSON-able dict in, JSON-able dict out.
@@ -514,7 +437,10 @@ class PricingService:
 
     def _handle(self, request: Request) -> Reply:
         if isinstance(request, SubmitBids):
-            return self._submit(request)
+            if request.revisable:
+                return self._submit(request)
+            self._ingest([request])  # a run of one
+            return BulkAcks([request], self.fleet.slot)[0]
         if isinstance(request, ReviseBid):
             return self._revise(request)
         if isinstance(request, AdvanceSlots):
@@ -918,82 +844,97 @@ class PricingService:
 
     # ---------------------------------------------------------- bulk path --
 
-    def _bulk_open(self) -> bool:
-        fleet = self.fleet
-        return fleet is not None and fleet.slot == 0
+    def _ingest_run(self, requests: list[SubmitBids]) -> Sequence[Reply]:
+        """Bulk-ingest a run of non-revisable SubmitBids, one verdict each.
 
-    def _ingest_bulk(self, requests: list[SubmitBids]) -> BulkAcks:
-        """Bulk-ingest a run of SubmitBids as duration-major FleetBatches.
+        A clean run is one :meth:`_ingest` call and comes back as lazy
+        :class:`BulkAcks`. A refused run committed nothing: it is split in
+        halves, ingested in order, down to the single envelopes whose
+        error becomes their own reply. Each envelope thus gets the reply
+        a lone dispatch would have given it, at the cost of O(k log n)
+        engine calls for k bad envelopes in a run of n.
+        """
+        # One counter bump for the whole run; the halves do not count.
+        _DISPATCH_TOTAL.labels(kind="SubmitBids").inc(len(requests))
+        replies = self._bisect(requests)
+        self._probe("apply:done")
+        return replies
+
+    def _bisect(self, requests: list[SubmitBids]) -> Sequence[Reply]:
+        try:
+            self._ingest(requests)
+        except ReproError as exc:
+            if len(requests) == 1:
+                return [ErrorReply.of(exc, request_kind="SubmitBids")]
+            half = len(requests) // 2
+            return [
+                *self._bisect(requests[:half]),
+                *self._bisect(requests[half:]),
+            ]
+        return BulkAcks(requests, self.fleet.slot)
+
+    def _ingest(self, requests: list[SubmitBids]) -> None:
+        """Bulk-ingest SubmitBids as duration-major FleetBatches.
 
         The grouping reproduces :func:`repro.workloads.fleet.fleet_batches`
         exactly — one batch per bid duration, ascending, bids in request
         order within a batch — so the scheduled entries (and therefore
         every outcome and metered cost downstream) are bit-identical to
-        handing the engine pre-built batches. The returned acks are lazy
-        (:class:`BulkAcks`); the caller must not mutate ``requests``
-        afterwards.
+        handing the engine pre-built batches. All or nothing: the first
+        fault raises its :class:`~repro.errors.ReproError` and nothing is
+        committed. The run succeeds exactly when each envelope, ingested
+        alone in order, would.
         """
-        # One bulk counter bump for the whole run — per-request-kind
-        # accounting without touching the per-bid hot loop below.
-        _DISPATCH_TOTAL.labels(kind="SubmitBids").inc(len(requests))
         fleet = self._require_fleet()
         rank_get = fleet.rank_map.get
         # duration -> parallel (tenants, ranks, starts, values) columns,
         # filled in one pass so 50k envelopes cost one tight loop.
         columns: dict[int, tuple] = {}
         columns_get = columns.get
-        try:
-            for request in requests:
-                tenant = request.tenant
-                for optimization, start, values in request.bids:
-                    rank = rank_get(optimization)
-                    if rank is None:
-                        raise GameConfigError(
-                            f"no optimization {optimization!r} in catalog"
-                        )
-                    # Bid-shape failures carry the same "bid" code the
-                    # per-bid path's AdditiveBid construction yields.
-                    if not values:
-                        raise BidError("a slot schedule needs at least one slot")
-                    if start < 1:
-                        raise BidError(f"start slot must be >= 1, got {start}")
-                    duration = len(values)
-                    group = columns_get(duration)
-                    if group is None:
-                        group = columns[duration] = ([], [], [], [])
-                    group[0].append(tenant)
-                    group[1].append(rank)
-                    group[2].append(start)
-                    group[3].append(values)
-            batches = []
-            for duration in sorted(columns):
-                tenants, ranks, starts, values = columns[duration]
-                # fromiter over the flattened rows builds the matrix at a
-                # third of np.array's cost on a list of tuples.
-                matrix = np.fromiter(
-                    chain.from_iterable(values), float, len(values) * duration
-                ).reshape(-1, duration)
-                if not np.isfinite(matrix).all() or matrix.min() < 0:
-                    raise BidError("slot values must be non-negative and finite")
-                batches.append(
-                    FleetBatch(
-                        users=tuple(tenants),
-                        opt_ranks=np.array(ranks, dtype=np.int64),
-                        starts=np.array(starts, dtype=np.int64),
-                        values=matrix,
+        for request in requests:
+            tenant = request.tenant
+            for optimization, start, values in request.bids:
+                rank = rank_get(optimization)
+                if rank is None:
+                    raise GameConfigError(
+                        f"no optimization {optimization!r} in catalog"
                     )
+                # Bid-shape failures carry the same "bid" code the
+                # per-bid path's AdditiveBid construction yields.
+                if not values:
+                    raise BidError("a slot schedule needs at least one slot")
+                if start < 1:
+                    raise BidError(f"start slot must be >= 1, got {start}")
+                duration = len(values)
+                group = columns_get(duration)
+                if group is None:
+                    group = columns[duration] = ([], [], [], [])
+                group[0].append(tenant)
+                group[1].append(rank)
+                group[2].append(start)
+                group[3].append(values)
+        batches = []
+        for duration in sorted(columns):
+            tenants, ranks, starts, values = columns[duration]
+            # fromiter over the flattened rows builds the matrix at a
+            # third of np.array's cost on a list of tuples.
+            matrix = np.fromiter(
+                chain.from_iterable(values), float, len(values) * duration
+            ).reshape(-1, duration)
+            if not np.isfinite(matrix).all() or matrix.min() < 0:
+                raise BidError("slot values must be non-negative and finite")
+            batches.append(
+                FleetBatch(
+                    users=tuple(tenants),
+                    opt_ranks=np.array(ranks, dtype=np.int64),
+                    starts=np.array(starts, dtype=np.int64),
+                    values=matrix,
                 )
-            # The gateway is an untrusted boundary: a (tenant,
-            # optimization) pair bid twice, within this run or before it,
-            # must fail the run, not double-schedule and double-invoice.
-            fleet.ingest_many(batches, checked=True)
-        except ReproError as exc:
-            # Bulk intake is all-or-nothing per run: ingest_many commits
-            # nothing on failure, and the whole run shares the verdict.
-            return BulkAcks(
-                requests, fleet.slot, ErrorReply.of(exc, request_kind="SubmitBids")
             )
-        return BulkAcks(requests, fleet.slot, None)
+        # The gateway is an untrusted boundary: a (tenant,
+        # optimization) pair bid twice, within this run or before it,
+        # must fail the run, not double-schedule and double-invoice.
+        fleet.ingest_many(batches, checked=True)
 
 
 def fingerprint(service: PricingService) -> dict:
@@ -1024,7 +965,11 @@ class TenantSession:
         self.tenant = tenant
 
     def submit_bids(self, bids: Iterable[tuple], revisable: bool = False) -> Reply:
-        """Submit ``(optimization, start, values)`` triples."""
+        """Submit ``(optimization, start, values)`` triples.
+
+        Bulk-ingested unless ``revisable``: pass ``revisable=True`` for
+        bids a later :meth:`revise_bid` will touch.
+        """
         return self.service.dispatch(
             SubmitBids(tenant=self.tenant, bids=tuple(bids), revisable=revisable)
         )

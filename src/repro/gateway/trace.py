@@ -4,17 +4,18 @@ A trace is one request envelope per line, in wire form (see
 :mod:`repro.gateway.envelopes`). The first line is normally a
 ``Configure`` envelope so the trace is self-contained::
 
-    {"api": "1.9", "kind": "Configure", "optimizations": [["idx", 40.0]], "horizon": 4}
-    {"api": "1.9", "kind": "SubmitBids", "tenant": "ann", "bids": [["idx", 1, [30.0, 30.0]]]}
-    {"api": "1.9", "kind": "AdvanceSlots", "slots": 4}
-    {"api": "1.9", "kind": "LedgerQuery", "tenant": "ann"}
+    {"api": "1.10", "kind": "Configure", "optimizations": [["idx", 40.0]], "horizon": 4}
+    {"api": "1.10", "kind": "SubmitBids", "tenant": "ann", "bids": [["idx", 1, [30.0, 30.0]]]}
+    {"api": "1.10", "kind": "AdvanceSlots", "slots": 4}
+    {"api": "1.10", "kind": "LedgerQuery", "tenant": "ann"}
 
-:func:`replay` feeds every line through
-:meth:`~repro.gateway.service.PricingService.dispatch_json` — runs of
-``SubmitBids`` lines take the columnar bulk path via batched dispatch,
-so replaying a fleet-scale trace costs what driving the engine directly
-costs. Malformed lines become ``ErrorReply`` entries, never exceptions:
-a replay always finishes and always yields one reply per request line.
+:func:`replay` dispatches every line through
+:class:`~repro.gateway.service.PricingService`, each run of consecutive
+``SubmitBids`` lines as one batched ``dispatch``, so a fleet-scale trace
+takes the columnar bulk path and costs what driving the engine directly
+costs, while every line still gets the reply it would get alone.
+Malformed lines become ``ErrorReply`` entries, never exceptions: a
+replay always finishes and always yields one reply per request line.
 The ``replay`` CLI command (``python -m repro replay trace.jsonl``) wraps
 this module; new multi-tenant scenarios are a trace file away.
 """
@@ -92,9 +93,10 @@ def replay(
 ) -> ReplayResult:
     """Dispatch raw envelope dictionaries in order; never raises per line.
 
-    Consecutive ``SubmitBids`` lines are batched through
-    one batched :meth:`PricingService.dispatch` to keep the fleet's columnar
-    intake path; everything else dispatches one by one.
+    Each run of consecutive ``SubmitBids`` lines goes through one batched
+    :meth:`PricingService.dispatch`, which routes it (non-revisable runs
+    take the columnar intake path); everything else dispatches one by
+    one.
     """
     if service is None:
         service = PricingService()
@@ -120,7 +122,7 @@ def replay(
                 to_dict(ErrorReply.of(exc, request_kind=str(kind or "")))
             )
             continue
-        if isinstance(request, SubmitBids) and not request.revisable:
+        if isinstance(request, SubmitBids):
             bulk.append(request)
             continue
         flush()

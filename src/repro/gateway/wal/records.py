@@ -3,9 +3,9 @@
 One WAL record is one JSON line (the same line discipline
 :mod:`repro.gateway.trace` uses for request traces — :func:`iter_jsonl`
 is the single reader both consume). A record wraps either one request
-envelope in wire form or one atomic bulk run of them::
+envelope in wire form or one group-committed batch of them::
 
-    {"seq": 7, "epoch": 3, "request": {"api": "1.9", "kind": ...}, "crc": ...}
+    {"seq": 7, "epoch": 3, "request": {"api": "1.10", "kind": ...}, "crc": ...}
     {"seq": 8, "epoch": 3, "requests": [{...}, {...}], "crc": ...}
 
 ``seq`` is the contiguous per-log sequence number (first record is 1),
@@ -149,13 +149,13 @@ def spliced_checksum_ok(text: str, crc: int) -> bool:
 
 @dataclass(frozen=True)
 class WalRecord:
-    """One durably logged dispatch: a single envelope or an atomic run.
+    """One durably logged dispatch: a single envelope or a batch.
 
     ``requests`` holds the wire dictionaries (trace-shaped); ``batch``
-    marks an all-or-nothing batched-``dispatch`` group commit — recovery
-    re-dispatches it as one batch so the
-    :class:`BulkAcks` contract survives a crash between the append and
-    the apply.
+    marks a batched-``dispatch`` group commit — recovery re-dispatches it
+    as one batch, so its bulk runs are cut and ingested as they were live
+    and the state lands bit-identical after a crash between the append
+    and the apply.
     """
 
     seq: int

@@ -84,7 +84,7 @@ class WalWriter:
         )
 
     def append_batch(self, epoch: int, requests: list) -> int:
-        """Durably log one atomic bulk run as a single record/fsync."""
+        """Durably log one group-committed batch as a single record/fsync."""
         return self._append(
             WalRecord(
                 seq=self._next_seq,

@@ -136,6 +136,16 @@ class TestRevisableBid:
         assert bid.current.end == 2
         assert bid.current.residual(1) == pytest.approx(8.0)
 
+    def test_revision_after_the_end_rejected(self):
+        # A stay can be extended while it lasts (at its last slot, too);
+        # a departed stay cannot be reopened, so the bid stays as it was.
+        bid = RevisableBid(AdditiveBid.over(1, [1.0]))
+        with pytest.raises(RevisionError, match="ended at slot 1"):
+            bid.revise(2, {2: 1.0})
+        assert bid.current == AdditiveBid.over(1, [1.0])
+        bid.revise(1, {2: 1.0})
+        assert bid.current.end == 2
+
     def test_downward_revision_rejected(self):
         bid = RevisableBid(AdditiveBid.over(1, [10.0, 10.0]))
         with pytest.raises(RevisionError):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -152,3 +154,32 @@ class TestMain:
             (results / f"{item['benchmark']}.json").write_text(json.dumps(item))
         baselines = str(BENCHMARKS.parent / "BENCH.json")
         assert gate.main(["--results", str(results), "--baselines", baselines]) == 0
+
+
+class TestDirtyStamp:
+    def test_null_on_a_clean_tree_else_a_hash_of_the_diff(self, gate, tmp_path):
+        import harness
+
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(tmp_path)]
+        subprocess.run([*git, "init", "-q"], check=True)
+        (tmp_path / "BENCH.json").write_text("{}\n")
+        (tmp_path / "code.py").write_text("x = 1\n")
+        subprocess.run([*git, "add", "-A"], check=True)
+        subprocess.run([*git, "commit", "-q", "-m", "base"], check=True)
+        assert harness._git_dirty(tmp_path) is None
+        # The harness rewrites BENCH.json mid-run; that alone is clean.
+        (tmp_path / "BENCH.json").write_text('{"results": {}}\n')
+        assert harness._git_dirty(tmp_path) is None
+        (tmp_path / "code.py").write_text("x = 2\n")
+        stamp = harness._git_dirty(tmp_path)
+        assert re.fullmatch(r"[0-9a-f]{12}", stamp)
+        (tmp_path / "code.py").write_text("x = 3\n")
+        assert harness._git_dirty(tmp_path) not in (None, stamp)
+
+    def test_the_gate_ignores_the_stamp(self, gate):
+        baselines = {"a": {**entry("a", 10.0), "dirty": None}}
+        for dirty in (None, "0123456789ab"):
+            fresh = {**entry("a", 9.0), "dirty": dirty}
+            assert gate.check_entry("a", fresh, baselines, 0.2)[0]
+            fresh = {**entry("a", 5.0), "dirty": dirty}
+            assert not gate.check_entry("a", fresh, baselines, 0.2)[0]

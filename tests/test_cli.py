@@ -227,6 +227,42 @@ class TestReplayCommand:
         assert "serving on http://" in out
         assert "drained" in out
 
+    def test_sigterm_with_idle_keep_alive_connections_is_quiet(self):
+        # Idle keep-alive connections sit in a read when SIGTERM arrives;
+        # the drain must let their handlers return, or the loop's
+        # shutdown cancels them and logs a traceback per connection.
+        import re
+        import signal
+        import socket
+
+        src = Path(repro.__file__).resolve().parent.parent
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        connections = []
+        try:
+            banner = server.stdout.readline()
+            host, port = re.search(r"http://([\d.]+):(\d+)", banner).groups()
+            for _ in range(3):
+                connection = socket.create_connection((host, int(port)), timeout=10)
+                connections.append(connection)
+                connection.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                assert connection.recv(65536).startswith(b"HTTP/1.1 200")
+            server.send_signal(signal.SIGTERM)
+            out, err = server.communicate(timeout=30)
+        finally:
+            for connection in connections:
+                connection.close()
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0 and "drained" in out
+        assert "Traceback" not in err and "Exception in callback" not in err, err
+
     def test_strict_fails_on_errors(self, tmp_path, capsys):
         path = self._write(
             tmp_path, self.TRACE + [{"api": API_VERSION, "kind": "Mystery"}]

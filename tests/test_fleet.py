@@ -3,8 +3,10 @@
 The acceptance contract of ``repro.fleet``: running N games through one
 :class:`~repro.fleet.engine.FleetEngine` must produce *exactly* the
 grants, prices, payments, and implementation slots of running each game
-through its own :class:`~repro.cloudsim.service.CloudService` (which the
-online-equivalence suite in turn ties to the batch mechanism runners).
+through its own :class:`~repro.cloudsim.service.CloudService`, and of
+the paper's AddOn mechanism itself (:func:`repro.run_addon`, which
+steps each game without the fleet's rows, blocks or feasibility gate),
+late placements and revisions included.
 Also covered: bulk-vs-per-bid intake parity, replay determinism, and
 the ledger/event-log invariants of the fleet path.
 """
@@ -20,7 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import AdditiveBid, GameConfigError, MechanismError, ProtocolError
+from repro import (
+    AdditiveBid,
+    GameConfigError,
+    MechanismError,
+    ProtocolError,
+    RevisableBid,
+    run_addon,
+)
 from repro.cloudsim import (
     BidPlaced,
     CloudService,
@@ -31,6 +40,7 @@ from repro.cloudsim import (
     UserGranted,
 )
 from repro.core.online import AddOnState, step_changed_many
+from repro.errors import RevisionError
 from repro.fleet import FleetBatch, FleetEngine
 from repro.fleet import engine as fleet_engine
 from repro.workloads import fleet_arrival_trace, fleet_batches, fleet_game_costs
@@ -65,6 +75,22 @@ def fleet_games(draw, max_games=4, max_users=8, max_slots=5):
     return costs, bids, sorted(revisions), max_slots + 1
 
 
+def _revise(revise, handle, at, slot, bump):
+    """Apply one drawn revision at slot ``at`` through ``revise``.
+
+    A revision after the bid's end would reopen a departed stay, so it
+    must be refused, and the bid must stay as it was.
+    """
+    current = handle.current
+    new_values = {slot: current.value_at(slot) + bump}
+    if at <= current.end:
+        revise(new_values)
+        return
+    with pytest.raises(RevisionError):
+        revise(new_values)
+    assert handle.current is current
+
+
 def _run_fleet(costs, bids, revisions, horizon):
     engine = FleetEngine(OptimizationCatalog.from_costs(costs), horizon=horizon)
     handles = {}
@@ -75,9 +101,12 @@ def _run_fleet(costs, bids, revisions, horizon):
         upcoming = engine.slot + 1
         while pending and pending[0][0] == upcoming:
             _, user, game, slot, bump = pending.pop(0)
-            current = handles[(user, game)].current
-            engine.revise_bid(
-                user, game, {slot: current.value_at(slot) + bump}
+            _revise(
+                lambda values: engine.revise_bid(user, game, values),
+                handles[(user, game)],
+                upcoming,
+                slot,
+                bump,
             )
         engine.advance_slot()
     return engine.run_to_end()
@@ -99,13 +128,66 @@ def _run_services(costs, bids, revisions, horizon):
     for upcoming in range(1, horizon + 1):
         while pending and pending[0][0] == upcoming:
             _, user, game, slot, bump = pending.pop(0)
-            current = handles[(user, game)].current
-            services[game].revise_additive_bid(
-                user, game, {slot: current.value_at(slot) + bump}
+            _revise(
+                lambda values: services[game].revise_additive_bid(
+                    user, game, values
+                ),
+                handles[(user, game)],
+                upcoming,
+                slot,
+                bump,
             )
         for service in services.values():
             service.advance_slot()
     return {game: service.report() for game, service in services.items()}
+
+
+def _late_placements(bids, revisions, data):
+    """``{slot: [(user, game, bid, bulk)]}``: each bid lands at a random
+    slot before its start (and before its first revision), through
+    ``place_bid`` or a one-row ``ingest_many``; revised bids need
+    ``place_bid``'s handle."""
+    first_revision: dict = {}
+    for at, user, bid_game, _, _ in revisions:
+        first_revision.setdefault((user, bid_game), at)
+    placements: dict = {}
+    for user, bid_game, bid in bids:
+        revised_at = first_revision.get((user, bid_game))
+        latest = min(bid.start, revised_at or bid.start) - 1
+        slot = data.draw(st.integers(0, latest))
+        bulk = revised_at is None and data.draw(st.booleans())
+        placements.setdefault(slot, []).append((user, bid_game, bid, bulk))
+    return placements
+
+
+def _feed(engine, placements, pending, handles):
+    """Run ``engine`` to its horizon, placing and revising on the way."""
+    while engine.slot < engine.horizon:
+        for user, bid_game, bid, bulk in placements.get(engine.slot, ()):
+            if bulk:
+                engine.ingest_many(
+                    [
+                        FleetBatch(
+                            users=(user,),
+                            opt_ranks=np.array([engine.rank_of(bid_game)]),
+                            starts=np.array([bid.start]),
+                            values=np.array([bid.schedule.values]),
+                        )
+                    ]
+                )
+            else:
+                handles[(user, bid_game)] = engine.place_bid(user, bid_game, bid)
+        upcoming = engine.slot + 1
+        while pending and pending[0][0] == upcoming:
+            _, user, bid_game, slot, bump = pending.pop(0)
+            _revise(
+                lambda values: engine.revise_bid(user, bid_game, values),
+                handles[(user, bid_game)],
+                upcoming,
+                slot,
+                bump,
+            )
+        engine.advance_slot()
 
 
 def _merge_reports(reports):
@@ -165,52 +247,64 @@ class TestPlacementTimeInvariance:
     ):
         costs, bids, revisions, horizon = game
         reference = _run_fleet(costs, bids, revisions, horizon)
-        first_revision: dict = {}
-        for at, user, bid_game, _, _ in revisions:
-            first_revision.setdefault((user, bid_game), at)
-        # Each bid lands at a random slot before its start (and before its
-        # first revision), through place_bid or a one-row ingest_many;
-        # revised bids need place_bid's handle.
-        placements: dict = {}
-        for user, bid_game, bid in bids:
-            revised_at = first_revision.get((user, bid_game))
-            latest = min(bid.start, revised_at or bid.start) - 1
-            slot = data.draw(st.integers(0, latest))
-            bulk = revised_at is None and data.draw(st.booleans())
-            placements.setdefault(slot, []).append((user, bid_game, bid, bulk))
+        placements = _late_placements(bids, revisions, data)
         engine = FleetEngine(OptimizationCatalog.from_costs(costs), horizon=horizon)
-        handles = {}
-        pending = list(revisions)
         with mock.patch.object(fleet_engine, "_MAX_BLOCKS", max_blocks):
-            self._feed(engine, placements, pending, handles)
+            _feed(engine, placements, list(revisions), {})
         late = engine.report()
         assert dict(late.payments) == dict(reference.payments)
         assert dict(late.granted_at) == dict(reference.granted_at)
         assert dict(late.implemented) == dict(reference.implemented)
         assert dict(late.game_revenue) == dict(reference.game_revenue)
 
-    @staticmethod
-    def _feed(engine, placements, pending, handles):
-        while engine.slot < engine.horizon:
-            for user, bid_game, bid, bulk in placements.get(engine.slot, ()):
-                if bulk:
-                    engine.ingest_many(
-                        [
-                            FleetBatch(
-                                users=(user,),
-                                opt_ranks=np.array([engine.rank_of(bid_game)]),
-                                starts=np.array([bid.start]),
-                                values=np.array([bid.schedule.values]),
-                            )
-                        ]
-                    )
-                else:
-                    handles[(user, bid_game)] = engine.place_bid(user, bid_game, bid)
-            while pending and pending[0][0] == engine.slot + 1:
-                _, user, bid_game, slot, bump = pending.pop(0)
-                current = handles[(user, bid_game)].current
-                engine.revise_bid(user, bid_game, {slot: current.value_at(slot) + bump})
-            engine.advance_slot()
+
+class TestFleetMatchesPaperMechanism:
+    """Each fleet game against :func:`run_addon`, the paper's Mechanism 2.
+
+    The reference shares none of the fleet's machinery (rows, blocks,
+    the feasibility gate, late finalization): per game, ``run_addon``
+    over :class:`RevisableBid` objects that take the same revisions
+    (those after a bid's end refused there too). Payments, grant slots
+    and the implementation slot must be equal exactly.
+    """
+
+    @settings(max_examples=1000, deadline=None)
+    @given(game=fleet_games(max_users=12, max_slots=10), data=st.data())
+    def test_every_game_matches_run_addon(self, game, data):
+        costs, bids, revisions, horizon = game
+        placements = _late_placements(bids, revisions, data)
+        engine = FleetEngine(OptimizationCatalog.from_costs(costs), horizon=horizon)
+        _feed(engine, placements, list(revisions), {})
+        report = engine.report()
+
+        declared = {
+            (user, bid_game): RevisableBid(bid, declared_at=slot + 1)
+            for slot, placed in placements.items()
+            for user, bid_game, bid, _ in placed
+        }
+        for at, user, bid_game, slot, bump in revisions:
+            handle = declared[(user, bid_game)]
+            _revise(
+                lambda values: handle.revise(at, values), handle, at, slot, bump
+            )
+        for game_id, cost in costs.items():
+            bids_of = {
+                user: handle
+                for (user, bid_game), handle in declared.items()
+                if bid_game == game_id
+            }
+            outcome = run_addon(cost, bids_of, horizon=horizon)
+            # fleet_games gives each user one bid, so a user's fleet
+            # payment is its payment in this game.
+            assert {u: report.payments[u] for u in bids_of} == outcome.payments
+            granted = {}
+            for t, cumulative in enumerate(outcome.cumulative_by_slot):
+                for user in cumulative:
+                    granted.setdefault((user, game_id), t)
+            assert {
+                key: t for key, t in report.granted_at.items() if key[1] == game_id
+            } == granted
+            assert report.implemented.get(game_id) == outcome.implemented_at
 
 
 class TestBulkIngestParity:

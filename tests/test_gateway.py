@@ -13,6 +13,7 @@ Three contracts from DESIGN.md's "Gateway conventions":
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from repro import (
     run_subston,
 )
 from repro.bids.substitutive import SubstitutableBid
-from repro.cloudsim import CloudService, OptimizationCatalog
+from repro.cloudsim import BidPlaced, CloudService, OptimizationCatalog
 from repro.db import CandidateView, Catalog, SavingsEstimator, Schema, Table
 from repro.errors import (
     BidError,
@@ -342,7 +343,9 @@ class TestGatewayPreservesFleetPath:
         assert isinstance(replies[1], ErrorReply)
         assert replies[1].code == "game-config"
 
-    def test_bulk_run_shares_one_verdict_on_error(self):
+    def test_bulk_run_gives_each_envelope_its_verdict(self):
+        # One tenant's bad bid must not fail another's: bob's unknown
+        # optimization fails bob alone, and ann's bid lands in bulk.
         service = PricingService({"idx": 40.0}, horizon=4)
         replies = service.dispatch(
             [
@@ -350,12 +353,22 @@ class TestGatewayPreservesFleetPath:
                 SubmitBids(tenant="bob", bids=(("nope", 1, (1.0,)),)),
             ]
         )
-        assert [type(r).__name__ for r in replies] == ["ErrorReply", "ErrorReply"]
-        assert all(r.code == "game-config" for r in replies)
+        assert [type(r).__name__ for r in replies] == ["BidsReply", "ErrorReply"]
+        assert replies[1].code == "game-config" and "nope" in replies[1].message
+        # ...and after ann's bid landed, re-sending it fails only itself.
+        again = service.dispatch(
+            [
+                SubmitBids(tenant="cid", bids=(("idx", 1, (30.0,)),)),
+                SubmitBids(tenant="ann", bids=(("idx", 1, (30.0,)),)),
+            ]
+        )
+        assert [type(r).__name__ for r in again] == ["BidsReply", "ErrorReply"]
+        assert "'ann' already bid" in again[1].message
+        assert service.run_to_end().implemented == {"idx": 1}
 
     def test_batch_after_first_slot_gives_each_envelope_its_verdict(self):
-        # Once the clock has moved, a batched run is placed bid by bid:
-        # ann's retroactive bid fails alone, bob's valid one lands.
+        # Once the clock has moved, a batched run is still ingested in
+        # bulk: ann's retroactive bid fails alone, bob's valid one lands.
         service = PricingService({"idx": 40.0}, horizon=4)
         service.dispatch(AdvanceSlots(slots=1))
         replies = service.dispatch(
@@ -370,31 +383,30 @@ class TestGatewayPreservesFleetPath:
         assert service.run_to_end().implemented == {"idx": 2}
 
     def test_failed_bulk_run_commits_nothing(self):
-        # All-or-nothing across duration batches: a later batch failing
-        # must not leave an earlier one scheduled (and later invoiced).
+        # A refused envelope commits none of its bids, across duration
+        # batches: bob's valid idx bid must not stay scheduled (and later
+        # invoiced) behind the error his beyond-horizon v bid earned.
         service = PricingService({"idx": 40.0, "v": 10.0}, horizon=2)
         replies = service.dispatch(
             [
-                SubmitBids(tenant="ann", bids=(("idx", 1, (50.0,)),)),
-                # duration 3 ends beyond the horizon: the run must fail whole
-                SubmitBids(tenant="bob", bids=(("v", 1, (1.0, 1.0, 1.0)),)),
+                SubmitBids(tenant="ann", bids=(("idx", 1, (10.0,)),)),
+                SubmitBids(
+                    tenant="bob",
+                    bids=(("idx", 1, (50.0,)), ("v", 1, (1.0, 1.0, 1.0))),
+                ),
             ]
         )
-        assert all(isinstance(r, ErrorReply) for r in replies)
+        assert [type(r).__name__ for r in replies] == ["BidsReply", "ErrorReply"]
+        assert replies[1].code == "game-config"
+        # ...and the refused envelope must not squat on bob's pairs.
+        retry = service.dispatch(
+            [SubmitBids(tenant="bob", bids=(("v", 1, (11.0,)),))]
+        )
+        assert [type(r).__name__ for r in retry] == ["BidsReply"]
         report = service.run_to_end()
-        assert not report.implemented
-        assert dict(report.payments) in ({}, {"ann": 0.0})
+        assert report.implemented == {"v": 1}
+        assert service.dispatch(LedgerQuery(tenant="bob")).total == 10.0
         assert service.dispatch(LedgerQuery(tenant="ann")).total == 0.0
-        # ...and the failed run must not squat on the (tenant, game) pair.
-        service2 = PricingService({"idx": 40.0, "v": 10.0}, horizon=2)
-        service2.dispatch(
-            [SubmitBids(tenant="ann", bids=(("idx", 1, (50.0,)),)),
-             SubmitBids(tenant="bob", bids=(("v", 1, (1.0,) * 3),))]
-        )
-        retry = service2.dispatch(
-            [SubmitBids(tenant="ann", bids=(("idx", 1, (50.0,)),))]
-        )
-        assert retry.failed is None
 
     def test_multi_bid_submit_is_atomic(self):
         # A duplicate inside one envelope must not leave the first bid
@@ -424,9 +436,27 @@ class TestGatewayPreservesFleetPath:
         acks = service.dispatch(
             [SubmitBids(tenant="ann", bids=(("x", 1, (20.0,)),))]
         )
-        assert acks.failed is not None and acks[0].code == "game-config"
+        assert isinstance(acks[0], ErrorReply) and acks[0].code == "game-config"
         report = service.run_to_end()
         assert report.payments.get("ann", 0.0) <= 10.0  # never double-invoiced
+
+    def test_revision_after_departure_is_refused(self):
+        # A departed stay cannot be reopened: the revision is a typed
+        # error, the tenant is invoiced once, and the cloud breaks even.
+        service = PricingService({"idx": 1.0}, horizon=3)
+        service.dispatch(
+            SubmitBids(tenant="ann", bids=(("idx", 1, (1.0,)),), revisable=True)
+        )
+        service.dispatch(AdvanceSlots(slots=1))
+        reply = service.dispatch(
+            ReviseBid(tenant="ann", optimization="idx", new_values={2: 0.0})
+        )
+        assert isinstance(reply, ErrorReply) and reply.code == "revision"
+        service.dispatch(AdvanceSlots(slots=2))
+        ledger = service.dispatch(LedgerQuery(tenant="ann"))
+        assert [amount for _, amount, _ in ledger.invoices] == [1.0]
+        assert ledger.total == 1.0
+        assert ledger.cloud_balance == 0.0
 
     def test_oversized_advance_moves_nothing(self):
         # An ErrorReply must mean the clock did not move: no partial
@@ -482,21 +512,25 @@ class TestGatewayPreservesFleetPath:
         )
         assert reply["kind"] == "ErrorReply" and reply["code"] == "protocol"
 
-    def test_error_codes_match_across_submit_paths(self):
+    @pytest.mark.parametrize(
+        "revisable", [False, True], ids=["bulk", "per-bid"]
+    )
+    def test_error_codes_match_across_submit_paths(self, revisable):
         # The identical invalid envelope must yield the same stable code
-        # whether it travels the per-bid or the bulk path.
+        # alone and batched, and in either commit form (bulk rows for a
+        # non-revisable envelope, per-bid placement for a revisable one).
         for bids in (
             (("idx", 1, ()),),        # empty schedule
             (("idx", 0, (1.0,)),),    # start before slot 1
             (("idx", 1, (-1.0,)),),   # negative value
         ):
-            request = SubmitBids(tenant="a", bids=bids)
-            per_bid = PricingService({"idx": 40.0}, horizon=2).dispatch(request)
-            bulk = PricingService({"idx": 40.0}, horizon=2).dispatch(
+            request = SubmitBids(tenant="a", bids=bids, revisable=revisable)
+            alone = PricingService({"idx": 40.0}, horizon=2).dispatch(request)
+            batched = PricingService({"idx": 40.0}, horizon=2).dispatch(
                 [request]
             )[0]
-            assert isinstance(per_bid, ErrorReply)
-            assert per_bid.code == bulk.code == "bid", (bids, per_bid, bulk)
+            assert isinstance(alone, ErrorReply)
+            assert alone.code == batched.code == "bid", (bids, alone, batched)
 
     def test_badly_typed_wire_fields_become_error_replies(self):
         service = PricingService({"idx": 40.0}, horizon=3)
@@ -516,14 +550,126 @@ class TestGatewayPreservesFleetPath:
         dup = SubmitBids(tenant="ann", bids=(("idx", 1, (50.0,)),))
         service = PricingService({"idx": 40.0}, horizon=1)
         replies = service.dispatch([dup, dup])
-        assert [type(r).__name__ for r in replies] == ["ErrorReply", "ErrorReply"]
+        assert [type(r).__name__ for r in replies] == ["BidsReply", "ErrorReply"]
+        assert replies[1].code == "game-config"
         # Across two bulk runs as well.
         service2 = PricingService({"idx": 40.0}, horizon=1)
-        assert service2.dispatch([dup]).failed is None
+        assert [type(r).__name__ for r in service2.dispatch([dup])] == ["BidsReply"]
         second = service2.dispatch([dup])
-        assert second.failed is not None and second[0].code == "game-config"
-        report = service2.run_to_end()
-        assert report.payments.get("ann", 0.0) <= 40.0
+        assert isinstance(second[0], ErrorReply) and second[0].code == "game-config"
+        for report in (service.run_to_end(), service2.run_to_end()):
+            assert report.payments["ann"] == 40.0
+
+
+# -------------------------------------------------- per-envelope verdicts --
+
+VERDICT_COSTS = {"a": 10.0, "b": 20.0}
+VERDICT_HORIZON = 5
+FAULTS = (
+    "valid",
+    "unknown-optimization",
+    "empty-schedule",
+    "start-0",
+    "negative-value",
+    "retroactive",
+    "beyond-horizon",
+)
+
+
+@st.composite
+def intake_batches(draw):
+    """A pre-state and a batch of SubmitBids, valid and faulty mixed.
+
+    The pre-state advances 0-2 slots after some envelopes landed alone;
+    the batch mixes every fault of one bid, multi-bid envelopes,
+    within-batch duplicates and re-sent landed envelopes, revisable or
+    not, plus an occasional one-slot advance between them.
+    """
+    horizon = VERDICT_HORIZON
+    advanced = draw(st.integers(0, 2))
+    tenants = st.sampled_from(["t0", "t1", "t2", "t3"])
+
+    def bid(fault, after):
+        optimization = draw(st.sampled_from(sorted(VERDICT_COSTS)))
+        start = draw(st.integers(after + 1, horizon))
+        length = draw(st.integers(1, horizon - start + 1))
+        values = draw(
+            st.lists(st.floats(0.0, 15.0), min_size=length, max_size=length)
+        )
+        if fault == "unknown-optimization":
+            optimization = "nope"
+        elif fault == "empty-schedule":
+            values = []
+        elif fault == "start-0":
+            start = 0
+        elif fault == "negative-value":
+            values[0] = -1.0
+        elif fault == "retroactive":
+            start = draw(st.integers(0, after))
+        elif fault == "beyond-horizon":
+            values += [1.0] * (horizon + 2 - start - len(values))
+        return (optimization, start, tuple(values))
+
+    landed = [
+        SubmitBids(tenant=draw(tenants), bids=(bid("valid", 0),))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    batch: list = []
+    for _ in range(draw(st.integers(1, 8))):
+        shape = draw(
+            st.sampled_from(["one", "one", "multi", "duplicate", "re-sent", "tick"])
+        )
+        if shape == "duplicate" and batch:
+            batch.append(draw(st.sampled_from(batch)))
+        elif shape == "re-sent" and landed:
+            batch.append(draw(st.sampled_from(landed)))
+        elif shape == "tick":
+            batch.append(AdvanceSlots(slots=1))
+        else:
+            count = 1 if shape == "one" else draw(st.integers(2, 3))
+            batch.append(
+                SubmitBids(
+                    tenant=draw(tenants),
+                    bids=tuple(
+                        bid(draw(st.sampled_from(FAULTS)), advanced)
+                        for _ in range(count)
+                    ),
+                    revisable=draw(st.booleans()),
+                )
+            )
+    return landed, advanced, batch
+
+
+class TestPerEnvelopeVerdicts:
+    """A batch gets, envelope by envelope, the replies of dispatching the
+    same envelopes one at a time: no tenant shares another's verdict."""
+
+    @staticmethod
+    def _service(landed, advanced):
+        service = PricingService(VERDICT_COSTS, horizon=VERDICT_HORIZON)
+        for request in landed:
+            service.dispatch(request)
+        if advanced:
+            service.dispatch(AdvanceSlots(slots=advanced))
+        return service
+
+    @staticmethod
+    def _placed(service):
+        return Counter(
+            (e.slot, e.user, e.detail)
+            for e in service.fleet.events.of_type(BidPlaced)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=intake_batches())
+    def test_batched_replies_equal_one_at_a_time(self, case):
+        landed, advanced, batch = case
+        batched = self._service(landed, advanced)
+        alone = self._service(landed, advanced)
+        replies = [to_dict(reply) for reply in batched.dispatch(batch)]
+        assert replies == [to_dict(alone.dispatch(request)) for request in batch]
+        assert self._placed(batched) == self._placed(alone)
+        assert batched.fleet.slot == alone.fleet.slot
 
 
 # ------------------------------------------------------------ the facade --
@@ -545,7 +691,8 @@ class TestPricingService:
         service = PricingService({"idx": 40.0}, horizon=3)
         session = service.session("ann")
         assert not isinstance(
-            session.submit_bids([("idx", 1, (50.0,))]), ErrorReply
+            session.submit_bids([("idx", 1, (50.0,))], revisable=True),
+            ErrorReply,
         )
         assert not isinstance(session.revise_bid("idx", {2: 60.0}), ErrorReply)
         service.dispatch(AdvanceSlots(slots=3))

@@ -11,9 +11,10 @@ deterministic kill switch. A second property checks the fleet's state
 image: recovery from any checkpoint finishes the period exactly as
 recovery from the WAL alone does.
 
-Alongside the properties: the all-or-nothing ``BulkAcks`` contract across
-a mid-bulk crash, corruption fuzzing (torn tails, flipped bytes,
-duplicated/gapped sequences, stale checkpoints — every one a structured
+Alongside the properties: a group-committed batch across a crash before
+or after its record is durable (lost whole, or replayed whole), corruption
+fuzzing (torn tails, flipped bytes, duplicated/gapped sequences, stale
+checkpoints, older API versions — every one a structured
 ``RecoveryError``, never silent state loss), the shared JSONL reader,
 and round-trips for the new Catalog/WorkloadLog codecs.
 """
@@ -347,7 +348,7 @@ def test_restoring_a_tail_checkpoint_dispatches_nothing(tmp_path):
     recovered.close()
 
 
-# ------------------------------------------------------ BulkAcks atomicity --
+# ------------------------------------------------ group commit across a crash --
 
 
 def _bulk_workload():
@@ -391,7 +392,7 @@ def test_bulk_crash_before_append_loses_the_whole_run():
 def test_bulk_crash_after_append_replays_the_whole_run():
     # Probe 4 is the batch record's "wal:appended": durable, but the
     # crash hits before any effect applies. Recovery must apply ALL of
-    # the run — the BulkAcks contract is all-or-nothing across restarts.
+    # the run: a durable record is applied whole across restarts.
     directory, probe = _crash_bulk(4)
     assert probe.crashed_stage == "wal:appended"
     assert durable_requests(directory) == 4  # Configure + the 3-bid run
@@ -668,6 +669,33 @@ def test_a_format_2_checkpoint_is_refused_naming_both_formats(tmp_path):
         state = {k: v for k, v in load_checkpoint(path).items() if k != "crc"}
         path.write_text(with_checksum({**state, "format": 2}), encoding="utf-8")
     refusal = f"format 2; this build reads only format {CHECKPOINT_FORMAT}"
+    with pytest.raises(RecoveryError, match=refusal) as caught:
+        PricingService.recover(directory)
+    assert ErrorReply.of(caught.value).code == "recovery"
+
+
+def test_an_api_1_9_directory_is_refused_naming_both_versions(tmp_path):
+    # API 1.10 changed batched SubmitBids verdicts and which bids can be
+    # revised, so a 1.9 log could replay to another state: its
+    # checkpoints and its records are both refused.
+    refusal = f"API '1.9'; this gateway speaks {API_VERSION!r}"
+    directory = _durable_run(checkpoint_every=2, tmp=tmp_path / "checkpoints")
+    for path in directory.glob(CHECKPOINT_GLOB):
+        state = {k: v for k, v in load_checkpoint(path).items() if k != "crc"}
+        path.write_text(with_checksum({**state, "api": "1.9"}), encoding="utf-8")
+    with pytest.raises(RecoveryError, match=refusal) as caught:
+        PricingService.recover(directory)
+    assert ErrorReply.of(caught.value).code == "recovery"
+
+    directory = _durable_run(tmp=tmp_path / "records")
+    wal = directory / WAL_FILENAME
+    lines = []
+    for line in iter_jsonl(wal):
+        record = {k: v for k, v in line.payload.items() if k != "crc"}
+        for envelope in record.get("requests", [record.get("request")]):
+            envelope["api"] = "1.9"
+        lines.append(with_checksum(record))
+    wal.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(RecoveryError, match=refusal) as caught:
         PricingService.recover(directory)
     assert ErrorReply.of(caught.value).code == "recovery"

@@ -278,6 +278,11 @@ class FleetEngine:
             raise GameConfigError(f"horizon must be >= 1, got {horizon}")
         if len(catalog) == 0:
             raise GameConfigError("catalog must offer at least one optimization")
+        if len(catalog) * (horizon + 2) > np.iinfo(np.int64).max:
+            # Every slot, and the group key below, must fit an int64.
+            raise GameConfigError(
+                f"horizon {horizon} is too long for {len(catalog)} games"
+            )
         # Checkpoints image every field below exactly (the FleetEngine
         # entry of repro.gateway.codec): a new field must be imaged there,
         # or rebuilt from imaged ones, or a restored period diverges.
@@ -549,11 +554,11 @@ class FleetEngine:
             raise GameConfigError(
                 f"bulk bids from slot {first} are retroactive at slot {self.slot}"
             )
-        ends = starts + values.shape[1] - 1
-        if ends.max() > self.horizon:
+        # Python ints, so a start near the int64 limit cannot wrap.
+        last = int(starts.max()) + values.shape[1] - 1
+        if last > self.horizon:
             raise GameConfigError(
-                f"bulk bids end at {int(ends.max())}, beyond the horizon "
-                f"{self.horizon}"
+                f"bulk bids end at {last}, beyond the horizon {self.horizon}"
             )
         if ranks.min() < 0 or ranks.max() >= len(self._opt_ids):
             raise GameConfigError("bulk bids address games outside the catalog")

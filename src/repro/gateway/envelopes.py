@@ -126,8 +126,8 @@ class _Normalized:
 
     Coercion failures (bad types, short tuples) become
     :class:`ProtocolError` so no public construction path — in-process
-    ``TenantSession`` calls included — leaks a bare
-    ``ValueError``/``TypeError`` for request-shaped mistakes.
+    ``TenantSession`` calls included — leaks a bare ``ValueError``,
+    ``TypeError`` or ``OverflowError`` for request-shaped mistakes.
     """
 
     def __post_init__(self) -> None:
@@ -135,7 +135,7 @@ class _Normalized:
             self._normalize()
         except ProtocolError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(
                 f"malformed {type(self).__name__} envelope: {exc}"
             ) from exc

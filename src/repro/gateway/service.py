@@ -148,22 +148,24 @@ class BulkAcks(Sequence):
         self._requests = requests
         self._slot = slot
 
-    def _make(self, request) -> Reply:
-        # Same fast path as the facade: bypass the frozen dataclass's
-        # per-field object.__setattr__; indistinguishable from __init__'s.
-        reply = BidsReply.__new__(BidsReply)
-        reply.__dict__.update(
-            tenant=request.tenant, accepted=len(request.bids), slot=self._slot
-        )
-        return reply
-
     def __len__(self) -> int:
         return len(self._requests)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self._make(r) for r in self._requests[index]]
-        return self._make(self._requests[index])
+            return [_bids_reply(r, self._slot) for r in self._requests[index]]
+        return _bids_reply(self._requests[index], self._slot)
+
+
+def _bids_reply(request: SubmitBids, slot: int) -> BidsReply:
+    """The acknowledgment of one landed :class:`SubmitBids`."""
+    # Same fast path as the facade: bypass the frozen dataclass's
+    # per-field object.__setattr__; indistinguishable from __init__'s.
+    reply = BidsReply.__new__(BidsReply)
+    reply.__dict__.update(
+        tenant=request.tenant, accepted=len(request.bids), slot=slot
+    )
+    return reply
 
 
 class PricingService:
@@ -440,7 +442,7 @@ class PricingService:
             if request.revisable:
                 return self._submit(request)
             self._ingest([request])  # a run of one
-            return BulkAcks([request], self.fleet.slot)[0]
+            return _bids_reply(request, self.fleet.slot)
         if isinstance(request, ReviseBid):
             return self._revise(request)
         if isinstance(request, AdvanceSlots):
@@ -491,9 +493,7 @@ class PricingService:
             checked.append((optimization, rank, bid))
         for optimization, rank, bid in checked:
             fleet.place_checked(request.tenant, rank, optimization, bid)
-        return BidsReply(
-            tenant=request.tenant, accepted=len(request.bids), slot=fleet.slot
-        )
+        return _bids_reply(request, fleet.slot)
 
     def _revise(self, request: ReviseBid) -> ReviseReply:
         fleet = self._require_fleet()
@@ -887,6 +887,7 @@ class PricingService:
         """
         fleet = self._require_fleet()
         rank_get = fleet.rank_map.get
+        limit = fleet.horizon + 1
         # duration -> parallel (tenants, ranks, starts, values) columns,
         # filled in one pass so 50k envelopes cost one tight loop.
         columns: dict[int, tuple] = {}
@@ -906,6 +907,13 @@ class PricingService:
                 if start < 1:
                     raise BidError(f"start slot must be >= 1, got {start}")
                 duration = len(values)
+                # Python ints: refused here, a wire start past int64
+                # never reaches the numpy columns to overflow or wrap.
+                if start + duration > limit:
+                    raise GameConfigError(
+                        f"bid ends at {start + duration - 1}, beyond the "
+                        f"horizon {fleet.horizon}"
+                    )
                 group = columns_get(duration)
                 if group is None:
                     group = columns[duration] = ([], [], [], [])

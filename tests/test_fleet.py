@@ -458,6 +458,10 @@ class TestFleetApi:
             FleetEngine(self.catalog(), horizon=0)
         with pytest.raises(GameConfigError):
             FleetEngine(OptimizationCatalog(), horizon=5)
+        # Slots and group keys are int64: three games cap the horizon.
+        with pytest.raises(GameConfigError, match="too long"):
+            FleetEngine(self.catalog(), horizon=2**62)
+        FleetEngine(self.catalog(), horizon=2**61)
 
     def test_place_bid_validation(self):
         engine = FleetEngine(self.catalog(), horizon=5)
@@ -489,6 +493,9 @@ class TestFleetApi:
             engine.ingest(batch(starts=np.array([0, 2])))
         with pytest.raises(GameConfigError):
             engine.ingest(batch(starts=np.array([1, 5])))
+        # The last int64 start over two slots must not wrap its end.
+        with pytest.raises(GameConfigError, match="beyond the horizon"):
+            engine.ingest(batch(starts=np.array([1, 2**63 - 1])))
         with pytest.raises(GameConfigError):
             engine.ingest(batch(opt_ranks=np.array([0, 9])))
         with pytest.raises(GameConfigError):

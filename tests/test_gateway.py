@@ -408,6 +408,35 @@ class TestGatewayPreservesFleetPath:
         assert service.dispatch(LedgerQuery(tenant="bob")).total == 10.0
         assert service.dispatch(LedgerQuery(tenant="ann")).total == 0.0
 
+    @pytest.mark.parametrize(
+        "start, slots", [(2**63, 1), (2**63 - 1, 2)], ids=["past-int64", "wraps"]
+    )
+    def test_a_start_past_the_int64_range_is_beyond_the_horizon(self, start, slots):
+        # Wire starts are unbounded ints. One of 2**63 must not overflow
+        # the bulk columns, and one of 2**63-1 over two slots must not
+        # wrap its end negative and land; both forms refuse alike.
+        bid = ["idx", start, [1.0] * slots]
+        for revisable in (False, True):
+            service = PricingService({"idx": 40.0}, horizon=3)
+            alone = service.dispatch_json(
+                {"api": API_VERSION, "kind": "SubmitBids", "tenant": "eve",
+                 "bids": [bid], "revisable": revisable}
+            )
+            assert alone["kind"] == "ErrorReply", alone
+            assert alone["code"] == "game-config"
+            assert "beyond the horizon" in alone["message"]
+        service = PricingService({"idx": 40.0}, horizon=3)
+        replies = service.dispatch(
+            [
+                SubmitBids(tenant="ann", bids=(("idx", 1, (50.0,)),)),
+                SubmitBids(tenant="eve", bids=(tuple(bid),)),
+            ]
+        )
+        assert [type(r).__name__ for r in replies] == ["BidsReply", "ErrorReply"]
+        assert replies[1].code == "game-config"
+        report = service.run_to_end()
+        assert report.payments == {"ann": 40.0}
+
     def test_multi_bid_submit_is_atomic(self):
         # A duplicate inside one envelope must not leave the first bid
         # committed behind the ErrorReply, and a retry must then succeed.
@@ -540,9 +569,22 @@ class TestGatewayPreservesFleetPath:
             {"api": API_VERSION, "kind": "RunQuery", "tenant": "t", "query": "members",
              "halo": "zero"},
             {"api": API_VERSION, "kind": "AdviseRequest", "horizon": [1]},
+            # JSON numbers past float range, or infinite where an int
+            # belongs, fail coercion with OverflowError.
+            {"api": API_VERSION, "kind": "SubmitBids", "tenant": "t",
+             "bids": [["idx", 1, [10**400]]]},
+            {"api": API_VERSION, "kind": "SubmitBids", "tenant": "t",
+             "bids": [["idx", float("inf"), [1.0]]]},
         ):
             reply = service.dispatch_json(payload)
             assert reply["kind"] == "ErrorReply" and reply["code"] == "protocol"
+        # A horizon whose slots overflow the engine's int64 columns is
+        # refused when the period opens, not when a slot wraps.
+        reply = PricingService().dispatch_json(
+            {"api": API_VERSION, "kind": "Configure",
+             "optimizations": [["idx", 1.0]], "horizon": 2**63}
+        )
+        assert reply["kind"] == "ErrorReply" and reply["code"] == "game-config"
 
     def test_bulk_duplicates_rejected_not_double_invoiced(self):
         # dispatch() rejects a duplicate bid; the bulk path must not
@@ -573,6 +615,7 @@ FAULTS = (
     "negative-value",
     "retroactive",
     "beyond-horizon",
+    "past-int64",
 )
 
 
@@ -608,6 +651,10 @@ def intake_batches(draw):
             start = draw(st.integers(0, after))
         elif fault == "beyond-horizon":
             values += [1.0] * (horizon + 2 - start - len(values))
+        elif fault == "past-int64":
+            # 2**63 overflows int64; 2**63-1 wraps once it spans slots.
+            start = 2**63 - draw(st.integers(0, 1))
+            values += [1.0] * (2 - len(values))
         return (optimization, start, tuple(values))
 
     landed = [

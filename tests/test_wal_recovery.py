@@ -773,6 +773,31 @@ def test_recovery_with_reads_interleaved_matches_the_live_fingerprint(tmp_path):
     recovered.close()
 
 
+@pytest.mark.parametrize(
+    "start, slots", [(2**63, 1), (2**63 - 1, 2)], ids=["past-int64", "wraps"]
+)
+def test_a_start_past_the_int64_range_replays_as_its_own_error(
+    tmp_path, start, slots
+):
+    # The refused envelope is durable with the batch that carried it:
+    # recovery must replay it as the same error, failing no one else.
+    service = _open_period(tmp_path)
+    bad = _submit("eve", "idx", start, [1.0] * slots)
+    replies = service.dispatch([_submit("bob", "mv", 1, (25.0,)), bad])
+    assert [type(r).__name__ for r in replies] == ["BidsReply", "ErrorReply"]
+    alone = service.dispatch_json(
+        {"api": API_VERSION, "kind": "SubmitBids", "tenant": "eve",
+         "bids": [["mv", start, [1.0] * slots]]}
+    )
+    assert alone["code"] == "game-config"
+    live = fingerprint(service)
+    service.close()
+    recovered = PricingService.recover(tmp_path)
+    assert fingerprint(recovered) == live
+    assert recovered.dispatch(LedgerQuery(tenant="eve")).total == 0.0
+    recovered.close()
+
+
 def test_run_to_end_is_logged_and_recoverable():
     with tempfile.TemporaryDirectory() as tmp:
         service = _service()

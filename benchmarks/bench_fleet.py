@@ -1,10 +1,12 @@
-"""Fleet engine vs N independent CloudService runs, at fleet scale.
+"""Fleet engine vs N engine-free per-game AddOn loops, at fleet scale.
 
 Races the same multi-game workload two ways:
 
-* **services** — one :class:`repro.cloudsim.CloudService` per
-  optimization, each fed its own users through the object API and advanced
-  through every slot: N independent per-game loops.
+* **loops** — per optimization, one plain loop over its own
+  :class:`repro.core.online.AddOnState`: bids indexed by start and end
+  slot, every active bid's residual stepped each slot, ``exit_price``
+  charged at each bid's end. The loops share nothing with the engine but
+  the mechanism state, so an engine change moves one side of the ratio.
 * **fleet** — one :class:`repro.fleet.FleetEngine` over the whole catalog,
   bulk-ingesting the identical population as columnar batches and making
   one pass over the fleet's arrivals/departures per slot.
@@ -144,7 +146,7 @@ def split_in_subprocess(games: int, users: int, slots: int) -> dict:
 
 
 def test_fleet_speedup_at_200_games(emit):
-    """Acceptance bar: >= 5x over independent services at 200 games."""
+    """Acceptance bar: >= 5x over the per-game loops at 200 games."""
     rows = []
     for games, users, slots in SCALES:
         point = measure_fleet_point(
@@ -153,13 +155,13 @@ def test_fleet_speedup_at_200_games(emit):
         rows.append((games, users, slots, point))
     table = "\n".join(
         [
-            "== fleet engine vs N independent CloudService runs "
+            "== fleet engine vs N engine-free per-game loops "
             "(identical outcomes asserted) ==",
             f"{'games':>6} {'users':>7} {'slots':>6} "
-            f"{'services s':>11} {'fleet s':>9} {'speedup':>9}",
+            f"{'loops s':>11} {'fleet s':>9} {'speedup':>9}",
         ]
         + [
-            f"{g:>6} {u:>7} {z:>6} {p.services_s:>11.3f} {p.fleet_s:>9.3f} "
+            f"{g:>6} {u:>7} {z:>6} {p.loops_s:>11.3f} {p.fleet_s:>9.3f} "
             f"{p.speedup:>8.1f}x"
             for g, u, z, p in rows
         ]
@@ -194,11 +196,11 @@ def test_fleet_speedup_at_200_games(emit):
             f"{split['peak_rss_mb']:.0f} MB",
         ]
     )
-    emit("fleet_engine", table)
+    emit("fleet_vs_game_loops", table)
     games, users, _, point = rows[-1]
     speedup = point.speedup
     harness.record(
-        "fleet_engine",
+        "fleet_vs_game_loops",
         speedup=speedup,
         n=users,
         seed=SEED,
@@ -206,6 +208,8 @@ def test_fleet_speedup_at_200_games(emit):
         extra={
             "games": games,
             "scales": [list(r[:3]) for r in rows],
+            "loops_s": [round(r[3].loops_s, 4) for r in rows],
+            "fleet_s": [round(r[3].fleet_s, 4) for r in rows],
             "split": {
                 k: round(v, 3) if isinstance(v, float) else v
                 for k, v in split.items()

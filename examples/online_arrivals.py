@@ -1,7 +1,8 @@
 """A live month of the cloud service: arrivals, revisions, departures.
 
-Replays the paper's Example 3 plus an upward bid revision through the
-:mod:`repro.cloudsim` service loop, printing the event log and the ledger.
+Replays the paper's Example 3 plus an upward bid revision through a
+one-game :class:`repro.fleet.FleetEngine` (the AddOn service loop),
+printing the event log and the ledger.
 Watch the cost-share fall from $100 to $25 as later users join, and the
 cloud end the month with a surplus (it over-recovers; it never loses).
 
@@ -9,18 +10,17 @@ Run:  python examples/online_arrivals.py
 """
 
 from repro import AdditiveBid
-from repro.cloudsim import CloudService, OptimizationCatalog
+from repro.cloudsim import OptimizationCatalog
+from repro.fleet import FleetEngine
 
 
 def main() -> None:
     catalog = OptimizationCatalog.from_costs({"hot-partition-index": 100.0})
-    service = CloudService(catalog, horizon=3, mode="additive")
+    service = FleetEngine(catalog, horizon=3)
 
     print("slot 0: two users sign up for the coming month")
-    service.place_additive_bid(
-        "ursula", "hot-partition-index", AdditiveBid.over(1, [101.0])
-    )
-    service.place_additive_bid(
+    service.place_bid("ursula", "hot-partition-index", AdditiveBid.over(1, [101.0]))
+    service.place_bid(
         "victor", "hot-partition-index", AdditiveBid.over(1, [16.0, 16.0, 16.0])
     )
 
@@ -30,13 +30,9 @@ def main() -> None:
 
     print("slot 1: two more users arrive for slot 2, and victor revises"
           " his slot-3 value upward")
-    service.place_additive_bid(
-        "wanda", "hot-partition-index", AdditiveBid.over(2, [26.0])
-    )
-    service.place_additive_bid(
-        "xavier", "hot-partition-index", AdditiveBid.over(2, [26.0])
-    )
-    service.revise_additive_bid("victor", "hot-partition-index", {3: 20.0})
+    service.place_bid("wanda", "hot-partition-index", AdditiveBid.over(2, [26.0]))
+    service.place_bid("xavier", "hot-partition-index", AdditiveBid.over(2, [26.0]))
+    service.revise_bid("victor", "hot-partition-index", {3: 20.0})
 
     report = service.run_to_end()
 

@@ -69,13 +69,6 @@ class TemplateUsage:
     probes: float = 0.0
     last_epoch: int | None = None
 
-    @property
-    def probes_per_pass(self) -> float:
-        """Mean probes one pass issues (0.0 before any pass)."""
-        if self.passes <= 0:
-            return 0.0
-        return self.probes / self.passes
-
 
 class WorkloadLog:
     """Accumulates per-tenant template usage from engine executions.

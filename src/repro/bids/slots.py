@@ -8,8 +8,9 @@ function restricted to its support.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from repro.errors import BidError
 
@@ -18,7 +19,7 @@ __all__ = ["SlotValues"]
 
 @dataclass(frozen=True)
 class SlotValues:
-    """A non-negative value schedule over slots ``start .. start+len-1``.
+    """A non-negative, finite value schedule over slots ``start .. start+len-1``.
 
     Parameters
     ----------
@@ -38,8 +39,10 @@ class SlotValues:
         if not self.values:
             raise BidError("a slot schedule needs at least one slot")
         coerced = tuple(float(v) for v in self.values)
-        if any(v < 0 for v in coerced):
-            raise BidError(f"slot values must be non-negative, got {coerced}")
+        if not all(0 <= v < math.inf for v in coerced):  # NaN fails both
+            raise BidError(
+                f"slot values must be non-negative and finite, got {coerced}"
+            )
         object.__setattr__(self, "values", coerced)
 
     @classmethod
@@ -79,10 +82,6 @@ class SlotValues:
     def slots(self) -> Iterator[int]:
         """Iterate the support slots in order."""
         return iter(range(self.start, self.end + 1))
-
-    def with_values(self, values: Sequence[float]) -> "SlotValues":
-        """Copy with the same start and a new value vector."""
-        return SlotValues(self.start, tuple(values))
 
     def scaled(self, factor: float) -> "SlotValues":
         """Copy with every value multiplied by ``factor`` (must keep values >= 0)."""

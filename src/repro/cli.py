@@ -11,7 +11,7 @@ Usage (after ``pip install -e .``)::
 Each figure command prints the same series table the benchmark harness
 writes to ``benchmarks/results/`` and optionally saves it with ``--out``.
 The ``fleet`` command is not a paper figure: it races the fleet engine
-against independent per-optimization services on one synthetic workload
+against engine-free per-game AddOn loops on one synthetic workload
 (asserting identical outcomes) and prints both timings; ``--gateway``
 races the gateway facade against the direct engine instead. The
 ``replay`` command drives a :class:`~repro.gateway.PricingService` from
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = sub.add_parser(
         "fleet",
-        help="race the fleet engine against independent per-game services",
+        help="race the fleet engine against engine-free per-game loops",
     )
     fleet.add_argument("--games", type=int, default=100, help="concurrent games")
     fleet.add_argument("--users", type=int, default=25_000, help="total users")
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--gateway", action="store_true",
         help="race the gateway facade against the direct engine instead of "
-        "the engine against independent services",
+        "the engine against per-game loops",
     )
 
     advise = sub.add_parser(
@@ -394,7 +394,7 @@ def _run_fleet(args) -> int:
         repeats=args.repeats,
         seed=args.seed,
     )
-    print(f"independent services  {point.services_s:>8.3f} s")
+    print(f"per-game loops        {point.loops_s:>8.3f} s")
     print(f"fleet engine          {point.fleet_s:>8.3f} s")
     print(f"speedup               {point.speedup:>8.2f} x")
     return 0
@@ -643,7 +643,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "list":
         for name, (_, section, description) in FIGURES.items():
             print(f"{name:<7} Section {section:<6} {description}")
-        print("fleet   (engine)       fleet engine vs independent services")
+        print("fleet   (engine)       fleet engine vs per-game loops")
         print("advise  (advisor)      closed optimization loop on astronomy")
         print("replay  (gateway)      drive the pricing gateway from a JSONL trace")
         print("serve   (gateway)      serve the pricing gateway over HTTP")

@@ -1,11 +1,13 @@
 """Cloud-service simulation: the online mechanisms run as a live service.
 
 The experiment drivers replay complete bid profiles through the batch
-mechanism runners; this package instead simulates the *service* the paper
-envisions: an optimization catalog, users arriving / revising / departing
-over slots, the mechanism deciding per slot, and a billing ledger invoicing
-users at departure. It powers the runnable examples and the end-to-end
-integration tests.
+mechanism runners; this package instead holds the pieces of the *service*
+the paper envisions: an optimization catalog, an event log of users
+arriving / being granted / departing over slots, and a billing ledger
+invoicing users at departure. :class:`CloudService` runs one substitutable
+(SubstOn) period over them; additive games run in
+:class:`repro.fleet.FleetEngine`, which keeps the same catalog, event log
+and ledger.
 """
 
 from repro.cloudsim.catalog import OptimizationCatalog, OptimizationSpec

@@ -15,10 +15,9 @@
   online mechanisms' per-slot work proportional to what changed. Its fused
   :meth:`~repro.core.fastshapley.IncrementalShapley.apply_and_solve` (with
   the O(1) :meth:`~repro.core.fastshapley.IncrementalShapley.settled`
-  feasibility gate) backs the batch entry points
-  :meth:`~repro.core.online.AddOnState.apply_changes` and
-  :func:`~repro.core.online.step_changed_many` that the fleet dispatcher
-  (:mod:`repro.fleet`) drives.
+  feasibility gate) backs the batch entry point
+  :meth:`~repro.core.online.AddOnState.apply_changes` that the fleet
+  dispatcher (:mod:`repro.fleet`) drives.
 """
 
 from repro.core.outcome import (
@@ -30,7 +29,7 @@ from repro.core.outcome import (
 )
 from repro.core.fastshapley import IncrementalShapley
 from repro.core.moulin import equal_shares, run_moulin, weighted_shares
-from repro.core.online import AddOnState, SubstOnState, step_changed_many
+from repro.core.online import AddOnState, SubstOnState
 from repro.core.shapley import run_shapley
 from repro.core.addoff import run_addoff
 from repro.core.addon import run_addon
@@ -51,7 +50,6 @@ __all__ = [
     "run_subston",
     "AddOnState",
     "SubstOnState",
-    "step_changed_many",
     "IncrementalShapley",
     "run_moulin",
     "equal_shares",

@@ -390,10 +390,6 @@ class IncrementalShapley:
         """Number of forced users (no set materialization)."""
         return len(self._forced)
 
-    def is_forced(self, user: UserId) -> bool:
-        """O(1) membership test against the forced set."""
-        return user in self._forced
-
     def tracked(self) -> Iterator[UserId]:
         """The non-forced users currently holding a declared bid."""
         return iter(self._bids)

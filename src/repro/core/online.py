@@ -2,9 +2,10 @@
 
 The batch runners (:func:`repro.core.addon.run_addon`,
 :func:`repro.core.subston.run_subston`) replay a complete bid profile; the
-cloud-service simulator (:mod:`repro.cloudsim`) instead advances slot by
-slot as agents arrive, revise and depart. Both share these state machines,
-which encode the two rules that make the mechanisms work online:
+fleet engine (:mod:`repro.fleet`, AddOn) and the cloud-service simulator
+(:mod:`repro.cloudsim`, SubstOn) instead advance slot by slot as agents
+arrive, revise and depart. All share these state machines, which encode
+the two rules that make the mechanisms work online:
 
 * previously serviced users are *forced* (infinite residual bid) so the
   cumulative set only grows and shares only shrink;
@@ -42,7 +43,6 @@ __all__ = [
     "AddOnSlotDelta",
     "SubstOnState",
     "SubstOnSlotDelta",
-    "step_changed_many",
 ]
 
 
@@ -91,10 +91,6 @@ class AddOnState:
     def cumulative(self) -> frozenset:
         """``CS_j`` — every user serviced so far (they are the forced set)."""
         return self._engine.forced
-
-    def is_cumulative(self, user: UserId) -> bool:
-        """O(1) membership test against ``CS_j`` (no set materialization)."""
-        return self._engine.is_forced(user)
 
     def _advance_to(self, t: int) -> None:
         if t <= self._slot:
@@ -186,27 +182,6 @@ class AddOnState:
         # Direct membership test against the engine's forced set: the fleet
         # invoices every departure through here, so no method hops.
         return self.price if user in self._engine._forced else 0.0
-
-
-def step_changed_many(
-    states: Mapping[OptId, AddOnState],
-    t: int,
-    changed: Mapping[OptId, Mapping[UserId, float]],
-) -> dict[OptId, AddOnSlotDelta]:
-    """Advance many independent AddOn games one slot in a single call.
-
-    The additive mechanisms are independent per optimization, so a fleet
-    slot is just each changed game stepped once; games absent from
-    ``changed`` are untouched (their states accept slot gaps). Returns one
-    :class:`AddOnSlotDelta` per stepped game, keyed like ``changed``.
-
-    This is the semantic batch API; the fleet dispatcher in
-    :mod:`repro.fleet.engine` uses the allocation-free
-    :meth:`AddOnState.apply_changes` underneath for its hot loop.
-    """
-    return {
-        j: states[j].step_changed(t, residuals) for j, residuals in changed.items()
-    }
 
 
 class SubstOnState:

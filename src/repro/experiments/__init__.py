@@ -9,7 +9,7 @@ exactly that.
 
 Beyond the paper's figures, :mod:`repro.experiments.fleet_scale` measures
 this codebase's own fleet-engine claim (many concurrent games vs
-independent services) behind the ``fleet`` CLI command and
+engine-free per-game loops) behind the ``fleet`` CLI command and
 ``benchmarks/bench_fleet.py``, and :mod:`repro.experiments.advisor_loop`
 measures the closed optimization loop (:mod:`repro.advisor`) behind the
 ``advise`` CLI command and ``benchmarks/bench_advisor.py``.
@@ -36,10 +36,8 @@ from repro.experiments.fig5_selectivity import (
     run_fig5_selectivity,
 )
 from repro.experiments.fleet_scale import (
-    FleetScaleConfig,
     measure_fleet_point,
     measure_gateway_point,
-    run_fleet_scale,
 )
 from repro.experiments.advisor_loop import (
     AdvisorLoopConfig,
@@ -66,10 +64,8 @@ __all__ = [
     "run_fig4_skew",
     "Fig5Config",
     "run_fig5_selectivity",
-    "FleetScaleConfig",
     "measure_fleet_point",
     "measure_gateway_point",
-    "run_fleet_scale",
     "AdvisorLoopConfig",
     "AdvisorLoopResult",
     "run_advisor_loop",

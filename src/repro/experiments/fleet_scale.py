@@ -1,13 +1,14 @@
-"""FLEET — fleet engine vs independent services, measured at scale.
+"""FLEET — fleet engine vs engine-free per-game loops, measured at scale.
 
 Not a paper figure: this driver measures the codebase's own claim that the
 :class:`~repro.fleet.engine.FleetEngine` runs hundreds of concurrent
-pricing games faster than the same games as independent
-:class:`~repro.cloudsim.service.CloudService` instances, while producing
-bit-for-bit identical grants, prices, and payments (asserted on every
-point before any timing is reported). ``benchmarks/bench_fleet.py``
-enforces the headline speedup floor; this driver powers the ``fleet`` CLI
-command and sweeps the game count.
+pricing games faster than the same games stepped one at a time, each in a
+plain loop over its own :class:`~repro.core.online.AddOnState`, while
+producing identical grants, prices, and payments (asserted on every point
+before any timing is reported). The loops share no code with the engine
+beyond the mechanism state, so a change to the engine moves only one side
+of the ratio. ``benchmarks/bench_fleet.py`` enforces the headline speedup
+floor; this driver also powers the ``fleet`` CLI command.
 """
 
 from __future__ import annotations
@@ -16,12 +17,10 @@ import gc
 import time
 from dataclasses import dataclass
 
-from repro.cloudsim.catalog import OptimizationCatalog
-from repro.cloudsim.service import CloudService
-from repro.errors import GameConfigError
-from repro.experiments.common import ExperimentResult, Series
 import numpy as np
 
+from repro.cloudsim.catalog import OptimizationCatalog
+from repro.core.online import AddOnState
 from repro.fleet.engine import FleetBatch, FleetEngine
 from repro.workloads.fleet import (
     fleet_arrival_trace,
@@ -31,45 +30,23 @@ from repro.workloads.fleet import (
 
 __all__ = [
     "FleetPoint",
-    "FleetScaleConfig",
-    "run_fleet_scale",
     "measure_fleet_point",
     "measure_gateway_point",
 ]
 
 
 @dataclass(frozen=True)
-class FleetScaleConfig:
-    """Knobs for the fleet-vs-services sweep."""
-
-    games_grid: tuple = (25, 50, 100, 200)
-    users_per_game: int = 250
-    slots: int = 1000
-    max_duration: int = 4
-    mean_cost: float = 30.0
-    repeats: int = 2
-    seed: int = 2012
-
-    def __post_init__(self) -> None:
-        if self.users_per_game < 1:
-            raise GameConfigError(
-                f"users per game must be >= 1, got {self.users_per_game}"
-            )
-        if self.repeats < 1:
-            raise GameConfigError(f"repeats must be >= 1, got {self.repeats}")
-
-
-@dataclass(frozen=True)
 class FleetPoint:
     """Best-of-repeats wall-clock seconds for one workload point.
 
+    ``loops_s`` is every game through its own engine-free loop;
     ``fleet_s`` is the bulk-fed fleet end to end (intake plus period); the
     ``bulk_*``/``per_bid_*`` pairs split intake from ``run_to_end`` for the
     fleet fed in bulk and fed one ``place_bid`` per arrival.
     """
 
     bids: int
-    services_s: float
+    loops_s: float
     fleet_s: float
     bulk_intake_s: float
     bulk_run_s: float
@@ -78,8 +55,48 @@ class FleetPoint:
 
     @property
     def speedup(self) -> float:
-        """Independent services over the bulk-fed fleet."""
-        return self.services_s / self.fleet_s
+        """Per-game loops over the bulk-fed fleet."""
+        return self.loops_s / self.fleet_s
+
+
+def _run_game_loops(costs: dict, by_game: dict, slots: int) -> tuple:
+    """Every game through its own AddOn loop, without the fleet engine.
+
+    Per game: one :class:`~repro.core.online.AddOnState`, the bids indexed
+    by start and end slot, every active bid's residual handed to
+    :meth:`~repro.core.online.AddOnState.apply_changes` each slot (and a
+    zero the slot after its end), and ``exit_price`` charged at the end.
+    Returns ``(payments, granted_at, implemented)`` shaped like a
+    :class:`~repro.fleet.engine.FleetReport`'s.
+    """
+    payments: dict = {}
+    granted: dict = {}
+    implemented: dict = {}
+    for game, cost in costs.items():
+        state = AddOnState(cost)
+        starts: dict = {}
+        ends: dict = {}
+        for arrival in by_game.get(game, ()):
+            starts.setdefault(arrival.bid.start, []).append(arrival)
+            ends.setdefault(arrival.bid.end, []).append(arrival)
+        active: dict = {}
+        for t in range(1, slots + 1):
+            for arrival in starts.get(t, ()):
+                active[arrival.user] = arrival.bid
+            changed = {user: bid.residual(t) for user, bid in active.items()}
+            for arrival in ends.get(t - 1, ()):
+                changed[arrival.user] = 0.0
+            stepped = state.apply_changes(t, changed)
+            if stepped is not None:
+                for user in stepped[2]:
+                    granted[(user, game)] = t
+            for arrival in ends.get(t, ()):
+                user = arrival.user
+                payments[user] = payments.get(user, 0.0) + state.exit_price(user)
+                del active[user]
+        if state.implemented_at is not None:
+            implemented[game] = state.implemented_at
+    return payments, granted, implemented
 
 
 def measure_fleet_point(
@@ -91,15 +108,15 @@ def measure_fleet_point(
     repeats: int = 2,
     seed: int = 2012,
 ) -> FleetPoint:
-    """Time independent services against the fleet, fed both ways.
+    """Time the per-game loops against the fleet, fed both ways.
 
     Every side runs the *same* drawn population — the object-form trace and
     the columnar batches are generated with identical RNG consumption, so
-    their bids are bit-identical. Before any timing is trusted, the
-    services and the bulk-fed fleet are checked for identical payments,
-    grants, and implementation slots, and the fleet fed one ``place_bid``
-    per arrival for identical payments, grants, implementation slots and
-    per-game revenue; best-of-``repeats`` timings absorb scheduler noise.
+    their bids are bit-identical. Before any timing is trusted, the loops
+    and the bulk-fed fleet are checked for identical payments, grants, and
+    implementation slots, and the fleet fed one ``place_bid`` per arrival
+    for identical payments, grants, implementation slots and per-game
+    revenue; best-of-``repeats`` timings absorb scheduler noise.
     """
     costs = fleet_game_costs(seed, games, mean_cost)
     trace = fleet_arrival_trace(seed + 1, users, games, slots, max_duration)
@@ -109,19 +126,10 @@ def measure_fleet_point(
     batches = fleet_batches(seed + 1, users, games, slots, max_duration)
     catalog = OptimizationCatalog.from_costs(costs)
 
-    def run_services():
+    def run_loops():
         started = time.perf_counter()
-        reports = {}
-        for game, cost in costs.items():
-            service = CloudService(
-                OptimizationCatalog.from_costs({game: cost}),
-                horizon=slots,
-                mode="additive",
-            )
-            for arrival in by_game.get(game, ()):
-                service.place_additive_bid(arrival.user, game, arrival.bid)
-            reports[game] = service.run_to_end()
-        return time.perf_counter() - started, reports
+        outcome = _run_game_loops(costs, by_game, slots)
+        return time.perf_counter() - started, outcome
 
     def run_fleet(per_bid: bool):
         started = time.perf_counter()
@@ -136,29 +144,29 @@ def measure_fleet_point(
         report = engine.run_to_end()
         return (fed - started, time.perf_counter() - fed), report
 
-    services_s, service_reports = run_services()
+    loops_s, loop_outcome = run_loops()
     bulk, fleet_report = run_fleet(per_bid=False)
     per_bid, per_bid_report = run_fleet(per_bid=True)
-    _assert_identical(service_reports, fleet_report)
-    for field in ("payments", "granted_at", "implemented", "game_revenue"):
-        if dict(getattr(per_bid_report, field)) != dict(
-            getattr(fleet_report, field)
-        ):
-            raise AssertionError(f"place_bid-fed fleet {field} diverge from bulk")
+    for name, expected in zip(("payments", "granted_at", "implemented"), loop_outcome):
+        if dict(getattr(fleet_report, name)) != expected:
+            raise AssertionError(f"fleet {name} diverge from the per-game loops")
+    for name in ("payments", "granted_at", "implemented", "game_revenue"):
+        if dict(getattr(per_bid_report, name)) != dict(getattr(fleet_report, name)):
+            raise AssertionError(f"place_bid-fed fleet {name} diverge from bulk")
     # Drop the parity artifacts (hundreds of thousands of event/ledger
-    # objects) before the clean timing repeats: a heap full of survivors
-    # turns every generational GC pass into a full scan, taxing whichever
-    # side happens to run under it.
-    del service_reports, fleet_report, per_bid_report
+    # rows and dict entries) before the clean timing repeats: a heap full
+    # of survivors turns every generational GC pass into a full scan,
+    # taxing whichever side happens to run under it.
+    del loop_outcome, fleet_report, per_bid_report
     gc.collect()
     bulk_runs, per_bid_runs = [bulk], [per_bid]
     for _ in range(repeats - 1):
-        services_s = min(services_s, run_services()[0])
+        loops_s = min(loops_s, run_loops()[0])
         bulk_runs.append(run_fleet(per_bid=False)[0])
         per_bid_runs.append(run_fleet(per_bid=True)[0])
     return FleetPoint(
         bids=len(trace),
-        services_s=services_s,
+        loops_s=loops_s,
         fleet_s=min(intake + run for intake, run in bulk_runs),
         bulk_intake_s=min(intake for intake, _ in bulk_runs),
         bulk_run_s=min(run for _, run in bulk_runs),
@@ -295,53 +303,3 @@ def measure_gateway_point(
         direct_s = min(direct_s, run_direct()[0])
         gateway_s = min(gateway_s, run_gateway()[0])
     return direct_s, gateway_s
-
-
-def _assert_identical(service_reports: dict, fleet_report) -> None:
-    payments: dict = {}
-    granted: dict = {}
-    implemented: dict = {}
-    for report in service_reports.values():
-        for user, paid in report.payments.items():
-            payments[user] = payments.get(user, 0.0) + paid
-        granted.update(report.granted_at)
-        implemented.update(report.implemented)
-    if payments != dict(fleet_report.payments):
-        raise AssertionError("fleet payments diverge from independent services")
-    if granted != dict(fleet_report.granted_at):
-        raise AssertionError("fleet grants diverge from independent services")
-    if implemented != dict(fleet_report.implemented):
-        raise AssertionError(
-            "fleet implementations diverge from independent services"
-        )
-
-
-def run_fleet_scale(config: FleetScaleConfig = FleetScaleConfig()) -> ExperimentResult:
-    """Sweep the game count; returns seconds-per-side plus the speedup."""
-    xs = tuple(int(g) for g in config.games_grid)
-    services_y = []
-    fleet_y = []
-    speedup_y = []
-    for games in xs:
-        point = measure_fleet_point(
-            games=games,
-            users=games * config.users_per_game,
-            slots=config.slots,
-            max_duration=config.max_duration,
-            mean_cost=config.mean_cost,
-            repeats=config.repeats,
-            seed=config.seed,
-        )
-        services_y.append(point.services_s)
-        fleet_y.append(point.fleet_s)
-        speedup_y.append(point.speedup)
-    return ExperimentResult(
-        experiment="fleet_scale",
-        x_label="concurrent games (x%d users each)" % config.users_per_game,
-        y_label="wall-clock seconds (and x speedup)",
-        series=(
-            Series("independent services [s]", xs, tuple(services_y)),
-            Series("fleet engine [s]", xs, tuple(fleet_y)),
-            Series("speedup [x]", xs, tuple(speedup_y)),
-        ),
-    )

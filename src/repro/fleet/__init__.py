@@ -1,17 +1,15 @@
 """Fleet-scale pricing: many concurrent games, one slot-synchronized engine.
 
-:mod:`repro.cloudsim` simulates one service period for one catalog with a
-per-optimization Python loop; this package batches *hundreds* of
-concurrent additive pricing games into a single scheduler
-(:class:`~repro.fleet.engine.FleetEngine`) that makes one pass over the
-fleet's arrivals and departures per slot — amortized O(changed bids)
-across all games — stepping the games in catalog order. The
-workload-to-bid pipeline (:mod:`repro.fleet.pipeline`) feeds it bids
-derived from :mod:`repro.db`'s cost model instead of synthetic numbers,
-closing the paper's loop between physical design and pricing.
-
-``CloudService``'s additive mode is a thin wrapper over this engine, so
-the single-catalog service and the fleet share one mechanism path.
+This package batches *hundreds* of concurrent additive pricing games
+into a single scheduler (:class:`~repro.fleet.engine.FleetEngine`) that
+makes one pass over the fleet's arrivals and departures per slot —
+amortized O(changed bids) across all games — stepping the games in
+catalog order. It is the one additive game runner: a one-game engine is
+the AddOn service loop, and :func:`repro.run_addon` is the paper
+reference the tests check every fleet game against. The workload-to-bid
+pipeline (:mod:`repro.fleet.pipeline`) feeds it bids derived from
+:mod:`repro.db`'s cost model instead of synthetic numbers, closing the
+paper's loop between physical design and pricing.
 """
 
 from repro.fleet.engine import FleetBatch, FleetEngine, FleetReport

@@ -1,11 +1,11 @@
 """The fleet engine: hundreds of concurrent pricing games, one scheduler.
 
 :class:`FleetEngine` runs every additive (AddOn) game of an optimization
-catalog inside a single slot-synchronized loop. Where one
-:class:`~repro.cloudsim.service.CloudService` per optimization would pay a
-full Python slot-advance per game per slot — active-set bookkeeping,
-residual recomputation, a mechanism step — the fleet makes one pass over
-the whole fleet's arrivals and departures per slot:
+catalog inside a single slot-synchronized loop. Where one loop per
+optimization would pay a full Python slot-advance per game per slot —
+active-set bookkeeping, residual recomputation, a mechanism step — the
+fleet makes one pass over the whole fleet's arrivals and departures per
+slot:
 
 * **One columnar bid store.** Every bid is one row of growable
   per-duration columns (user, game, start, values), whether it arrived
@@ -387,13 +387,12 @@ class FleetEngine:
             raise GameConfigError(
                 f"bid ends at {schedule.end}, beyond the horizon {self.horizon}"
             )
-        _require_finite(schedule.values)
         return rank
 
     def place_bid(
         self, user: UserId, optimization: OptId, bid: AdditiveBid
     ) -> RevisableBid:
-        """Declare one revisable bid; semantics match ``CloudService``."""
+        """Declare one revisable bid; returns its revision handle."""
         rank = self.check_bid(user, optimization, bid)
         return self.place_checked(user, rank, optimization, bid)
 
@@ -920,10 +919,6 @@ class FleetEngine:
 
     # ------------------------------------------------------------ queries --
 
-    def state_of(self, optimization: OptId) -> AddOnState:
-        """The live per-game state machine (read-mostly; for inspection)."""
-        return self._states[self.rank_of(optimization)]
-
     @property
     def implemented(self) -> Mapping[OptId, int]:
         """Live ``{optimization: slot built}`` mapping (treat as
@@ -975,7 +970,7 @@ class FleetEngine:
 
 
 def _require_finite(values) -> None:
-    """Per-bid values must be finite, as bulk intake requires."""
+    """Revised values must be finite, as bulk intake requires."""
     if not all(map(math.isfinite, values)):
         raise BidError("slot values must be finite")
 

@@ -8,7 +8,7 @@ one batch per bid duration, everything numpy — that
 :meth:`~repro.fleet.engine.FleetEngine.ingest` loads without touching a
 Python bid object, plus an object-form twin
 (:func:`fleet_arrival_trace`) whose bids are bit-identical, used by the
-equivalence tests and the independent-services baseline.
+equivalence tests and the per-game loop baseline of bench_fleet.
 """
 
 from __future__ import annotations

@@ -4,18 +4,17 @@ The figure experiments feed complete bid profiles to the batch runners;
 integration tests and demos want the *service* exercised instead — users
 arriving mid-period, placing bids on the fly. A trace is an ordered list
 of arrival records that :func:`replay_additive_trace` feeds into a
-:class:`~repro.cloudsim.service.CloudService` slot by slot.
+:class:`~repro.fleet.engine.FleetEngine` slot by slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-
 from repro.bids.additive import AdditiveBid
 from repro.cloudsim.catalog import OptimizationCatalog
-from repro.cloudsim.service import CloudService, ServiceReport
 from repro.errors import GameConfigError
+from repro.fleet.engine import FleetEngine, FleetReport
 from repro.utils.rng import RngLike, ensure_rng
 from repro.workloads.arrivals import uniform_slots
 from repro.workloads.values import uniform_values
@@ -74,24 +73,20 @@ def replay_additive_trace(
     trace: list,
     costs: dict,
     horizon: int,
-) -> ServiceReport:
-    """Feed a trace through a fresh additive CloudService and run it out.
+) -> FleetReport:
+    """Feed a trace through a fresh fleet engine and run it out.
 
     Arrivals are placed just before their entry slot is processed, exactly
     as a live service would see them.
     """
-    service = CloudService(
-        OptimizationCatalog.from_costs(costs), horizon=horizon, mode="additive"
-    )
+    engine = FleetEngine(OptimizationCatalog.from_costs(costs), horizon=horizon)
     pending = sorted(trace, key=lambda a: a.bid.start)
     idx = 0
     for _ in range(horizon):
-        upcoming = service.slot + 1
+        upcoming = engine.slot + 1
         while idx < len(pending) and pending[idx].bid.start == upcoming:
             arrival = pending[idx]
-            service.place_additive_bid(
-                arrival.user, arrival.optimization, arrival.bid
-            )
+            engine.place_bid(arrival.user, arrival.optimization, arrival.bid)
             idx += 1
-        service.advance_slot()
-    return service.report()
+        engine.advance_slot()
+    return engine.report()

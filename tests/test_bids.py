@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import (
@@ -65,6 +67,11 @@ class TestSlotValues:
     def test_rejects_negative_value(self):
         with pytest.raises(BidError):
             SlotValues(1, (1.0, -0.1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_value(self, bad):
+        with pytest.raises(BidError):
+            SlotValues(1, (1.0, bad))
 
     def test_rejects_empty_mapping(self):
         with pytest.raises(BidError):

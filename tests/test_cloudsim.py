@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro import AdditiveBid, GameConfigError, MechanismError, SubstitutableBid
+from repro import (
+    AdditiveBid,
+    BidError,
+    GameConfigError,
+    MechanismError,
+    RevisionError,
+    SubstitutableBid,
+)
 from repro.cloudsim import (
     BillingLedger,
     CloudService,
@@ -15,6 +24,7 @@ from repro.cloudsim import (
     UserCharged,
     UserGranted,
 )
+from repro.fleet import FleetEngine
 
 
 class TestCatalog:
@@ -70,13 +80,14 @@ class TestLedger:
 
 
 class TestAdditiveService:
-    """Replays paper Example 3 through the live service."""
+    """Replays paper Example 3 through a one-game fleet engine, the AddOn
+    service loop."""
 
     def make_service(self):
         catalog = OptimizationCatalog.from_costs({"opt": 100.0})
-        service = CloudService(catalog, horizon=3, mode="additive")
-        service.place_additive_bid(1, "opt", AdditiveBid.over(1, [101.0]))
-        service.place_additive_bid(2, "opt", AdditiveBid.over(1, [16.0, 16.0, 16.0]))
+        service = FleetEngine(catalog, horizon=3)
+        service.place_bid(1, "opt", AdditiveBid.over(1, [101.0]))
+        service.place_bid(2, "opt", AdditiveBid.over(1, [16.0, 16.0, 16.0]))
         return service
 
     def test_example_3_trace(self):
@@ -84,8 +95,8 @@ class TestAdditiveService:
         service.advance_slot()  # t=1: only user 1 serviced, pays 100
         assert service.report().payments.get(1) == pytest.approx(100.0)
         # Users 3 and 4 arrive before slot 2.
-        service.place_additive_bid(3, "opt", AdditiveBid.over(2, [26.0]))
-        service.place_additive_bid(4, "opt", AdditiveBid.over(2, [26.0]))
+        service.place_bid(3, "opt", AdditiveBid.over(2, [26.0]))
+        service.place_bid(4, "opt", AdditiveBid.over(2, [26.0]))
         report = service.run_to_end()
         assert report.payments[2] == pytest.approx(25.0)
         assert report.payments[3] == pytest.approx(25.0)
@@ -105,57 +116,50 @@ class TestAdditiveService:
         charged = list(report.events.of_type(UserCharged))
         assert len(charged) == 1  # user 2's share never fits; only 1 pays
 
-    def test_grant_slots_and_realized_value(self):
+    def test_grant_slots(self):
         service = self.make_service()
         service.advance_slot()
-        service.place_additive_bid(3, "opt", AdditiveBid.over(2, [26.0]))
-        service.place_additive_bid(4, "opt", AdditiveBid.over(2, [26.0]))
+        service.place_bid(3, "opt", AdditiveBid.over(2, [26.0]))
+        service.place_bid(4, "opt", AdditiveBid.over(2, [26.0]))
         report = service.run_to_end()
+        assert report.grant_slot(1, "opt") == 1
         assert report.grant_slot(2, "opt") == 2
-        truth_2 = AdditiveBid.over(1, [16.0, 16.0, 16.0])
-        assert report.realized_value(2, "opt", truth_2) == pytest.approx(32.0)
+        assert report.grant_slot(3, "opt") == 2
 
     def test_retroactive_bid_rejected(self):
         service = self.make_service()
         service.advance_slot()
         with pytest.raises(GameConfigError):
-            service.place_additive_bid(9, "opt", AdditiveBid.over(1, [50.0]))
+            service.place_bid(9, "opt", AdditiveBid.over(1, [50.0]))
 
     def test_bid_beyond_horizon_rejected(self):
         service = self.make_service()
         with pytest.raises(GameConfigError):
-            service.place_additive_bid(9, "opt", AdditiveBid.over(3, [1.0, 1.0]))
+            service.place_bid(9, "opt", AdditiveBid.over(3, [1.0, 1.0]))
 
     def test_upward_revision_through_service(self):
         catalog = OptimizationCatalog.from_costs({"opt": 100.0})
-        service = CloudService(catalog, horizon=2, mode="additive")
-        service.place_additive_bid(1, "opt", AdditiveBid.over(1, [40.0, 40.0]))
+        service = FleetEngine(catalog, horizon=2)
+        service.place_bid(1, "opt", AdditiveBid.over(1, [40.0, 40.0]))
         service.advance_slot()  # 80 < 100: not implemented
         assert service.report().implemented == {}
-        service.revise_additive_bid(1, "opt", {2: 120.0})
+        service.revise_bid(1, "opt", {2: 120.0})
         report = service.run_to_end()
         assert report.implemented == {"opt": 2}
         assert report.payments[1] == pytest.approx(100.0)
 
     def test_downward_revision_rejected(self):
         catalog = OptimizationCatalog.from_costs({"opt": 100.0})
-        service = CloudService(catalog, horizon=2, mode="additive")
-        service.place_additive_bid(1, "opt", AdditiveBid.over(1, [40.0, 40.0]))
-        with pytest.raises(Exception):
-            service.revise_additive_bid(1, "opt", {2: 10.0})
+        service = FleetEngine(catalog, horizon=2)
+        service.place_bid(1, "opt", AdditiveBid.over(1, [40.0, 40.0]))
+        with pytest.raises(RevisionError):
+            service.revise_bid(1, "opt", {2: 10.0})
 
     def test_advance_past_horizon_rejected(self):
         service = self.make_service()
         service.run_to_end()
         with pytest.raises(MechanismError):
             service.advance_slot()
-
-    def test_mode_enforcement(self):
-        service = self.make_service()
-        with pytest.raises(GameConfigError):
-            service.place_substitutable_bid(
-                9, SubstitutableBid.single_slot(1, 5.0, {"opt"})
-            )
 
 
 class TestSubstitutableService:
@@ -165,7 +169,7 @@ class TestSubstitutableService:
         catalog = OptimizationCatalog.from_costs(
             {1: 60.0, 2: 100.0, 3: 50.0}, kind="view"
         )
-        service = CloudService(catalog, horizon=3, mode="substitutable")
+        service = CloudService(catalog, horizon=3)
         service.place_substitutable_bid(
             1, SubstitutableBid.over(1, [50.0, 50.0], {1, 2})
         )
@@ -187,16 +191,28 @@ class TestSubstitutableService:
 
     def test_duplicate_bid_rejected(self):
         catalog = OptimizationCatalog.from_costs({1: 60.0})
-        service = CloudService(catalog, horizon=2, mode="substitutable")
+        service = CloudService(catalog, horizon=2)
         service.place_substitutable_bid(1, SubstitutableBid.single_slot(1, 70.0, {1}))
         with pytest.raises(GameConfigError):
             service.place_substitutable_bid(
                 1, SubstitutableBid.single_slot(2, 70.0, {1})
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_bid_refused_and_period_runs_out(self, bad):
+        catalog = OptimizationCatalog.from_costs({"a": 10.0})
+        service = CloudService(catalog, horizon=3)
+        service.place_substitutable_bid(2, SubstitutableBid.over(1, [20.0], {"a"}))
+        with pytest.raises(BidError):
+            service.place_substitutable_bid(1, SubstitutableBid.over(2, [bad], {"a"}))
+        report = service.run_to_end()
+        assert service.slot == 3
+        assert report.payments == {2: pytest.approx(10.0)}
+        assert report.implemented == {"a": 1}
+
     def test_unknown_substitute_rejected(self):
         catalog = OptimizationCatalog.from_costs({1: 60.0})
-        service = CloudService(catalog, horizon=2, mode="substitutable")
+        service = CloudService(catalog, horizon=2)
         with pytest.raises(GameConfigError):
             service.place_substitutable_bid(
                 1, SubstitutableBid.single_slot(1, 70.0, {"ghost"})
@@ -207,12 +223,6 @@ class TestServiceConfig:
     def test_bad_horizon(self):
         with pytest.raises(GameConfigError):
             CloudService(OptimizationCatalog.from_costs({"a": 1.0}), horizon=0)
-
-    def test_bad_mode(self):
-        with pytest.raises(GameConfigError):
-            CloudService(
-                OptimizationCatalog.from_costs({"a": 1.0}), horizon=1, mode="hybrid"
-            )
 
     def test_empty_catalog(self):
         with pytest.raises(GameConfigError):

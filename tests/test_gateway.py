@@ -32,7 +32,7 @@ from repro import (
     run_subston,
 )
 from repro.bids.substitutive import SubstitutableBid
-from repro.cloudsim import BidPlaced, CloudService, OptimizationCatalog
+from repro.cloudsim import BidPlaced, OptimizationCatalog
 from repro.db import CandidateView, Catalog, SavingsEstimator, Schema, Table
 from repro.errors import (
     BidError,
@@ -778,17 +778,6 @@ class TestPricingService:
         before = len(service.log)
         session.run_query("members", table="snap_02", halo=1, record=False)
         assert len(service.log) == before
-
-    def test_cloudservice_additive_rides_the_gateway(self):
-        catalog = OptimizationCatalog.from_costs({"opt": 100.0})
-        cloud = CloudService(catalog, horizon=3, mode="additive")
-        cloud.place_additive_bid(1, "opt", AdditiveBid.over(1, [101.0]))
-        gateway = cloud.gateway
-        assert gateway.fleet is cloud._fleet
-        reply = gateway.dispatch(SubmitBids(tenant=2, bids=(("opt", 2, (26.0,)),)))
-        assert not isinstance(reply, ErrorReply)
-        report = cloud.run_to_end()
-        assert report.payments[1] == pytest.approx(100.0)
 
     def test_pipeline_build_service(self):
         catalog = Catalog()

@@ -2,7 +2,9 @@
 
 The batch runners, the incremental state machines, and the cloud-service
 loop must agree: same cumulative sets, same grants, same payments. These
-property tests replay random games through all of them.
+property tests replay random games through all of them; the fleet engine,
+the additive service loop, is checked against the batch AddOn runner in
+``tests/test_fleet.py``.
 """
 
 from __future__ import annotations
@@ -69,32 +71,6 @@ class TestAddOnPaths:
             assert state.price == pytest.approx(batch.price_by_slot[t])
         assert state.implemented_at == batch.implemented_at
 
-    @settings(max_examples=100)
-    @given(game=additive_games())
-    def test_cloud_service_matches_batch(self, game):
-        cost, bids = game
-        horizon = max(b.end for b in bids.values())
-        batch = run_addon(cost, bids, horizon=horizon)
-
-        service = CloudService(
-            OptimizationCatalog.from_costs({"opt": cost}),
-            horizon=horizon,
-            mode="additive",
-        )
-        for user, bid in bids.items():
-            service.place_additive_bid(user, "opt", bid)
-        report = service.run_to_end()
-
-        for user in bids:
-            assert report.payments.get(user, 0.0) == pytest.approx(
-                batch.payment(user)
-            )
-        if batch.implemented:
-            assert report.implemented == {"opt": batch.implemented_at}
-        else:
-            assert report.implemented == {}
-        assert report.ledger.revenue == pytest.approx(batch.total_payment)
-
 
 class TestSubstOnPaths:
     @settings(max_examples=100)
@@ -130,11 +106,7 @@ class TestSubstOnPaths:
         horizon = max(b.end for b in bids.values())
         batch = run_subston(costs, bids, horizon=horizon)
 
-        service = CloudService(
-            OptimizationCatalog.from_costs(costs),
-            horizon=horizon,
-            mode="substitutable",
-        )
+        service = CloudService(OptimizationCatalog.from_costs(costs), horizon=horizon)
         for user, bid in bids.items():
             service.place_substitutable_bid(user, bid)
         report = service.run_to_end()

@@ -8,6 +8,8 @@ merger-tree queries, in wall-clock and in metered cost units alike.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -134,17 +136,17 @@ def large_catalog():
 
 
 class TestColumnarAccessPaths:
-    """The same access paths at 40k particles through the vector engine.
+    """The same access paths at 40k particles.
 
     ``benchmarks/bench_columnar.py`` asserts the >= 10x floor against the
-    iterator engine; these keep per-path wall-clock numbers visible at
-    scale (the iterator engine is benchmarked at 4k above — running it
-    at 40k per round would dominate the benchmark session).
+    row iterators; these keep per-path wall-clock numbers visible at
+    scale (timing the iterators at 40k per round would dominate the
+    benchmark session).
     """
 
     def test_top_contributor_base_scan_vector(self, benchmark, large_catalog):
         catalog, names = large_catalog
-        engine = QueryEngine(catalog, mode="vector")
+        engine = QueryEngine(catalog)
         top, meter = benchmark(engine.top_contributor, names[1], 0, names[0])
         assert top is not None
 
@@ -152,7 +154,7 @@ class TestColumnarAccessPaths:
         catalog, names = large_catalog
         for name in names:
             _with_view(catalog, name)
-        engine = QueryEngine(catalog, mode="vector")
+        engine = QueryEngine(catalog)
         try:
             top, meter = benchmark(engine.top_contributor, names[1], 0, names[0])
         finally:
@@ -164,17 +166,17 @@ class TestColumnarAccessPaths:
         catalog, names = large_catalog
         catalog.create_hash_index(names[1], "halo")
         catalog.create_hash_index(names[0], "pid")
-        engine = QueryEngine(catalog, mode="vector")
+        engine = QueryEngine(catalog)
         top, meter = benchmark(engine.top_contributor, names[1], 0, names[0])
         assert top is not None
 
     def test_vector_meters_match_iterator(self, large_catalog):
         """The rewrite is invisible to the cost model, also at scale."""
         catalog, names = large_catalog
-        iterator = QueryEngine(catalog, mode="iterator")
-        vector = QueryEngine(catalog, mode="vector")
-        top_i, meter_i = iterator.top_contributor(names[1], 0, names[0])
-        top_v, meter_v = vector.top_contributor(names[1], 0, names[0])
+        engine = QueryEngine(catalog)
+        with mock.patch("repro.db.engine.to_vector", lambda plan: None):
+            top_i, meter_i = engine.top_contributor(names[1], 0, names[0])
+        top_v, meter_v = engine.top_contributor(names[1], 0, names[0])
         assert top_i == top_v
         assert meter_i == meter_v
 

@@ -11,6 +11,7 @@ the very next query — no replanning step, no cache to invalidate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -42,11 +43,19 @@ class AdvisorConfig:
     runs_per_slot: float = 1.0
 
     def __post_init__(self) -> None:
+        # Refused here, before a round runs ANALYZE on the catalog.
         if self.horizon < 1:
             raise GameConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if self.runs_per_slot <= 0:
+        if not (math.isfinite(self.runs_per_slot) and self.runs_per_slot > 0):
             raise GameConfigError(
-                f"runs per slot must be > 0, got {self.runs_per_slot}"
+                f"runs per slot must be finite and > 0, got {self.runs_per_slot}"
+            )
+        if not (
+            math.isfinite(self.dollars_per_byte) and self.dollars_per_byte > 0
+        ):
+            raise GameConfigError(
+                "storage rate must be finite and > 0, got "
+                f"{self.dollars_per_byte}"
             )
 
 

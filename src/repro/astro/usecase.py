@@ -49,11 +49,8 @@ PAPER_MEAN_VIEW_COST = 2.31
 class UseCaseConfig:
     """Knobs for the synthetic use-case build.
 
-    ``engine_mode`` selects the physical execution path of the relational
-    engine ("auto"/"vector"/"iterator" — both return identical rows and
-    meters, see :class:`repro.db.QueryEngine`); ``scaled`` builds a config
-    whose universe holds ``factor`` times the default particle count,
-    which the columnar path makes tractable.
+    ``scaled`` builds a config whose universe holds ``factor`` times the
+    default particle count, which the columnar path makes tractable.
     """
 
     universe: UniverseConfig = field(default_factory=UniverseConfig)
@@ -62,10 +59,9 @@ class UseCaseConfig:
     calibrate_minutes: float = 81.0
     mean_view_cost: float = PAPER_MEAN_VIEW_COST
     pricing: Ec2Pricing = field(default_factory=Ec2Pricing)
-    engine_mode: str = "auto"
 
     @classmethod
-    def scaled(cls, factor: int, engine_mode: str = "auto") -> "UseCaseConfig":
+    def scaled(cls, factor: int) -> "UseCaseConfig":
         """A config with ``factor``x the default universe's particles."""
         if factor < 1:
             raise GameConfigError(f"scale factor must be >= 1, got {factor}")
@@ -75,7 +71,7 @@ class UseCaseConfig:
             halos=base.halos,
             snapshots=base.snapshots,
         )
-        return cls(universe=universe, engine_mode=engine_mode)
+        return cls(universe=universe)
 
 
 @dataclass
@@ -154,7 +150,7 @@ def build_use_case(config: UseCaseConfig = UseCaseConfig()) -> AstronomyUseCase:
         table_names.append(table.name)
 
     workloads = _make_workloads(snapshots[-1], config.halos_per_group)
-    engine = QueryEngine(catalog, CostModel(), mode=config.engine_mode)
+    engine = QueryEngine(catalog, CostModel())
 
     # Measure every workload without views; remember per-table pass counts.
     meters = [w.run(engine, table_names) for w in workloads]

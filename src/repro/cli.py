@@ -40,7 +40,6 @@ def _fig1(args) -> object:
             values=args.values,
             samples=args.samples,
             seed=args.seed,
-            engine_mode=args.engine_mode,
             universe_scale=args.universe_scale,
         )
     )
@@ -158,11 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="bid-interval combinations sampled (of the 10^6)",
             )
             p.add_argument(
-                "--engine-mode", choices=("auto", "vector", "iterator"),
-                default="auto", dest="engine_mode",
-                help="relational engine execution path (engine values only)",
-            )
-            p.add_argument(
                 "--universe-scale", type=int, default=1, dest="universe_scale",
                 help="multiply the simulated universe's particle count "
                 "(engine values only; the columnar path keeps 10x tractable)",
@@ -208,11 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     advise.add_argument(
         "--storage-rate", type=float, default=1e-6, dest="storage_rate",
         help="dollars per stored byte per period (candidate cost C_j)",
-    )
-    advise.add_argument(
-        "--engine-mode", choices=("auto", "vector", "iterator"),
-        default="auto", dest="engine_mode",
-        help="relational engine execution path",
     )
     advise.add_argument("--seed", type=int, default=2012, help="master RNG seed")
 
@@ -409,7 +398,6 @@ def _run_advise(args) -> int:
             snapshots=args.snapshots,
             horizon=args.slots,
             dollars_per_byte=args.storage_rate,
-            engine_mode=args.engine_mode,
             seed=args.seed,
         )
     )
@@ -674,7 +662,6 @@ def main(argv: list[str] | None = None) -> int:
         # `all` has no fig1-specific flags; use the fig1 defaults.
         args.values = "paper"
         args.samples = 150
-        args.engine_mode = "auto"
         args.universe_scale = 1
     for name in names:
         runner, section, description = FIGURES[name]

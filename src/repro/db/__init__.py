@@ -42,7 +42,7 @@ from repro.db.view import MaterializedView
 from repro.db.catalog import Catalog
 from repro.db.snapshot import CatalogSnapshot, ViewSnapshot
 from repro.db.costmodel import CostMeter, CostModel
-from repro.db.engine import ENGINE_MODES, QueryEngine, QueryResult
+from repro.db.engine import QueryEngine, QueryResult
 from repro.db.savings import (
     Candidate,
     CandidateIndex,
@@ -91,7 +91,6 @@ __all__ = [
     "VecHashJoin",
     "VecGroupCount",
     "to_vector",
-    "ENGINE_MODES",
     "QueryResult",
     "MaterializedView",
     "ColumnStats",

@@ -12,10 +12,7 @@ from repro.db.planner import histogram_plan, members_plan
 from repro.db.vec_operators import to_vector
 from repro.errors import QueryError
 
-__all__ = ["QueryResult", "QueryEngine", "ENGINE_MODES"]
-
-#: Physical execution strategies the engine can run a plan with.
-ENGINE_MODES = ("auto", "vector", "iterator")
+__all__ = ["QueryResult", "QueryEngine"]
 
 
 @dataclass(frozen=True)
@@ -48,12 +45,11 @@ class QueryEngine:
     All methods return metered results; ``minutes_of`` converts a meter to
     simulated wall-clock time through the engine's cost model.
 
-    ``mode`` selects the physical execution strategy: ``"iterator"`` runs
-    the row-at-a-time operators, ``"vector"`` requires the columnar path
-    (raising when a plan has no vector translation), and ``"auto"`` (the
-    default) runs vectorized whenever the plan translates and falls back
-    to the iterator otherwise. Both paths return identical rows and
-    charge identical meters, so the mode is purely a speed knob.
+    Every plan runs through the columnar vector operators when it has a
+    vector translation (every plan the planner builds does) and through
+    the row-at-a-time iterator operators otherwise. Both paths return
+    identical rows and charge identical meters, so the path never shows
+    in a result.
 
     ``log`` optionally attaches a workload recorder (duck-typed to
     :class:`repro.advisor.WorkloadLog`): every query records its
@@ -69,21 +65,19 @@ class QueryEngine:
     their steps. The pinned epoch is recorded on the result and in the
     workload log. The single-step methods accept ``at`` — an existing
     :class:`~repro.db.snapshot.CatalogSnapshot` — to run at an earlier
-    pinned state instead.
+    pinned state instead. Each method resolves every table it names in
+    its snapshot before it records anything, so a query that fails on a
+    missing table leaves the workload log untouched.
     """
 
     def __init__(
         self,
         catalog: "Catalog | CatalogSnapshot",
         cost_model: CostModel | None = None,
-        mode: str = "auto",
         log=None,
     ) -> None:
-        if mode not in ENGINE_MODES:
-            raise QueryError(f"mode must be one of {ENGINE_MODES}, got {mode!r}")
         self.catalog = catalog
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.mode = mode
         self.log = log
 
     def minutes_of(self, meter: CostMeter) -> float:
@@ -95,15 +89,10 @@ class QueryEngine:
         self.cost_model = self.cost_model.calibrated(target_seconds, meter)
 
     def execute_plan(self, plan: Operator, meter: CostMeter) -> list[tuple]:
-        """Materialize one plan under the engine's execution mode."""
-        if self.mode != "iterator":
-            vector_plan = to_vector(plan)
-            if vector_plan is not None:
-                return vector_plan.materialize(meter)
-            if self.mode == "vector":
-                raise QueryError(
-                    f"plan {type(plan).__name__} has no vector translation"
-                )
+        """Materialize one plan, vectorized whenever it translates."""
+        vector_plan = to_vector(plan)
+        if vector_plan is not None:
+            return vector_plan.materialize(meter)
         return plan.materialize(meter)
 
     # ------------------------------------------------------------ queries --
@@ -112,9 +101,16 @@ class QueryEngine:
         """Pin the current catalog state for use as an ``at`` argument."""
         return self.catalog.snapshot()
 
+    def _pinned(self, at, *table_names: str):
+        """The query's snapshot, once every table it names resolves there."""
+        snap = at if at is not None else self.catalog.snapshot()
+        for name in table_names:
+            snap.table(name)
+        return snap
+
     def halo_members(self, table_name: str, halo_id: int, at=None) -> QueryResult:
         """Particle ids of one halo in one snapshot."""
-        snap = at if at is not None else self.catalog.snapshot()
+        snap = self._pinned(at, table_name)
         if self.log is not None:
             self.log.record_query(
                 kind="members",
@@ -135,7 +131,7 @@ class QueryEngine:
         self, table_name: str, member_pids, at=None
     ) -> QueryResult:
         """(halo, count) pairs for ``member_pids`` within one snapshot."""
-        snap = at if at is not None else self.catalog.snapshot()
+        snap = self._pinned(at, table_name)
         keys = frozenset(member_pids)
         if self.log is not None:
             # Logged probes match what the plan will actually issue: one
@@ -172,7 +168,7 @@ class QueryEngine:
         halo id for determinism. Unclustered particles (halo == -1) are
         skipped unless ``exclude_unclustered`` is False.
         """
-        snap = at if at is not None else self.catalog.snapshot()
+        snap = self._pinned(at, from_table, to_table)
         total = CostMeter()
         members = self.halo_members(from_table, halo_id, at=snap)
         total.merge(members.meter)
@@ -203,7 +199,7 @@ class QueryEngine:
         """
         if not tables_newest_first:
             raise QueryError("need at least one snapshot table")
-        snap = at if at is not None else self.catalog.snapshot()
+        snap = self._pinned(at, *tables_newest_first)
         total = CostMeter()
         chain: list = [halo_id]
         current = halo_id
@@ -228,7 +224,7 @@ class QueryEngine:
         which is why the final snapshot's view is so much more valuable
         than the others (the paper's 44-minute vs 2.5-minute savings).
         """
-        snap = at if at is not None else self.catalog.snapshot()
+        snap = self._pinned(at, final_table, *earlier_tables)
         total = CostMeter()
         result: dict = {}
         for older in earlier_tables:

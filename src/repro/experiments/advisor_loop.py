@@ -37,7 +37,6 @@ class AdvisorLoopConfig:
     min_halo_members: int = 10
     halos_per_group: int = 3
     seed: int = 2012
-    engine_mode: str = "auto"
     horizon: int = 12
     dollars_per_byte: float = 1e-6
 
@@ -151,9 +150,7 @@ def run_advisor_loop(
         snapshots[-1], config.halos_per_group, config.snapshots
     )
 
-    service = PricingService(
-        db_catalog=catalog, engine_mode=config.engine_mode
-    )
+    service = PricingService(db_catalog=catalog)
     sessions = {w.name: service.session(w.name) for w in workloads}
     baseline = [
         _workload_units(sessions[w.name], w, table_names, record=True)

@@ -56,11 +56,10 @@ PAPER_HOURLY_RATE = 0.25
 class Fig1Config:
     """Figure 1 setup; defaults match the paper.
 
-    ``engine_mode`` and ``universe_scale`` only matter for
-    ``values="engine"``: the mode selects the relational engine's physical
-    execution path and the scale multiplies the simulated universe's
-    particle count (the columnar path is what makes scales of 10+ —
-    tens of thousands of particles across 27 snapshots — tractable).
+    ``universe_scale`` only matters for ``values="engine"``: it
+    multiplies the simulated universe's particle count (the columnar path
+    is what makes scales of 10+ — tens of thousands of particles across
+    27 snapshots — tractable).
     """
 
     executions: tuple = (1, 10, 20, 30, 40, 50, 60, 70, 80, 90)
@@ -69,7 +68,6 @@ class Fig1Config:
     samples: int | None = 150
     seed: int = 2012
     values: str = "engine"
-    engine_mode: str = "auto"
     universe_scale: int = 1
 
     def __post_init__(self) -> None:
@@ -123,9 +121,7 @@ def _value_table(
         costs, values, baselines = paper_value_table()
         return costs, values, baselines, len(PAPER_STRIDES)
     if use_case is None:
-        use_case = build_use_case(
-            UseCaseConfig.scaled(config.universe_scale, config.engine_mode)
-        )
+        use_case = build_use_case(UseCaseConfig.scaled(config.universe_scale))
     costs = dict(use_case.view_costs)
     users = len(use_case.workloads)
     values = {

@@ -1,10 +1,11 @@
 """The gateway facade: one service, every subsystem behind one surface.
 
 :class:`PricingService` owns a :class:`~repro.fleet.engine.FleetEngine`
-(the pricing games), a relational :class:`~repro.db.catalog.Catalog` with
-its :class:`~repro.db.engine.QueryEngine` (the value-measurement
-substrate), and an :class:`~repro.advisor.OptimizationAdvisor` wired to
-the service's :class:`~repro.advisor.WorkloadLog` — and exposes exactly
+(the pricing games), a relational :class:`~repro.db.catalog.Catalog`
+that each query reads through a :class:`~repro.db.engine.QueryEngine`
+(the value-measurement substrate), and an
+:class:`~repro.advisor.OptimizationAdvisor` wired to the service's
+:class:`~repro.advisor.WorkloadLog` — and exposes exactly
 one entry point over all of them: ``dispatch(request) -> reply`` on the
 envelopes of :mod:`repro.gateway.envelopes`.
 
@@ -184,8 +185,6 @@ class PricingService:
         omitted).
     cost_model:
         Cost model shared by the query engine and the advisor.
-    engine_mode:
-        Physical execution strategy of the query engine.
     fleet:
         Adopt an existing engine, at any slot, instead of building one
         (the workload-to-bid pipeline hands its assembled fleet over this
@@ -200,7 +199,6 @@ class PricingService:
         horizon: int | None = None,
         db_catalog: Catalog | None = None,
         cost_model: CostModel | None = None,
-        engine_mode: str = "auto",
         advisor_config: AdvisorConfig | None = None,
         fleet: FleetEngine | None = None,
     ) -> None:
@@ -208,9 +206,6 @@ class PricingService:
         self.db = db_catalog if db_catalog is not None else Catalog()
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.log = WorkloadLog()
-        self.engine = QueryEngine(
-            self.db, self.cost_model, mode=engine_mode, log=self.log
-        )
         self.advisor_config = (
             advisor_config if advisor_config is not None else AdvisorConfig()
         )
@@ -566,14 +561,10 @@ class PricingService:
             )
         snap = self._snapshot_for(request.as_of)
         # A per-request engine over the pinned snapshot: no shared mutable
-        # engine state, so concurrent-style interleavings with mutating
-        # requests cannot tear a query (and the log swap the shared engine
-        # used to need is gone).
+        # engine state, so interleaved mutating requests cannot tear a
+        # query.
         engine = QueryEngine(
-            snap,
-            self.cost_model,
-            mode=self.engine.mode,
-            log=self.log if request.record else None,
+            snap, self.cost_model, log=self.log if request.record else None
         )
         with self.log.tenant(request.tenant):
             rows, units, source = self._execute_query(engine, request)

@@ -41,7 +41,7 @@ from repro.gateway.wal.records import (
     encode_record,
     iter_jsonl,
 )
-from repro.gateway.wal.recovery import WalLog, read_log, read_wal, recover
+from repro.gateway.wal.recovery import WalLog, read_log, recover
 from repro.gateway.wal.rotate import (
     SEGMENT_GLOB,
     GcReport,
@@ -67,7 +67,6 @@ __all__ = [
     "write_checkpoint",
     "load_checkpoint",
     "restore_service",
-    "read_wal",
     "read_log",
     "WalLog",
     "recover",

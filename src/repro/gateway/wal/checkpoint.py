@@ -76,7 +76,6 @@ def capture_state(service, *, wal_seq: int) -> dict:
         "format": CHECKPOINT_FORMAT,
         "api": API_VERSION,
         "wal_seq": int(wal_seq),
-        "engine_mode": service.engine.mode,
         "cost_model": asdict(service.cost_model),
         "advisor_config": asdict(service.advisor_config),
         "db": codec.encode(service.db),
@@ -162,7 +161,7 @@ def load_checkpoint(path) -> dict:
         raise RecoveryError(
             f"checkpoint {path.name} carries a bad wal_seq {wal_seq!r}"
         )
-    for field in ("engine_mode", "cost_model", "advisor_config", "db", "log"):
+    for field in ("cost_model", "advisor_config", "db", "log"):
         if field not in payload:
             raise RecoveryError(
                 f"checkpoint {path.name} is missing field {field!r}"
@@ -198,7 +197,6 @@ def restore_service(state: dict):
         service = PricingService(
             db_catalog=db,
             cost_model=CostModel(**state["cost_model"]),
-            engine_mode=state["engine_mode"],
             advisor_config=AdvisorConfig(**state["advisor_config"]),
             fleet=fleet,
         )
@@ -206,8 +204,6 @@ def restore_service(state: dict):
         raise
     except (ReproError, TypeError, ValueError) as exc:
         raise RecoveryError(f"checkpoint does not restore: {exc}") from exc
-    # The service built its own empty log/engine pair; swap the restored
-    # log in everywhere the service references it.
+    # The service built its own empty log; swap the restored one in.
     service.log = log
-    service.engine.log = log
     return service

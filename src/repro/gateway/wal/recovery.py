@@ -10,8 +10,7 @@ sequence number.
 The log may span several files: sealed, range-named segments from
 rotation (:mod:`repro.gateway.wal.rotate`) plus the active
 ``wal.jsonl``. :func:`read_log` stitches them into one contiguous record
-stream; :func:`read_wal` remains the single-file reader trace tooling
-uses.
+stream.
 
 The failure policy is strict where it must be and tolerant where a crash
 legitimately leaves debris:
@@ -52,7 +51,7 @@ from repro.gateway.wal.records import (
 )
 from repro.gateway.wal.rotate import list_segments
 
-__all__ = ["WalLog", "read_wal", "read_log", "recover"]
+__all__ = ["WalLog", "read_log", "recover"]
 
 
 def _read_file(path, *, expect_first=None, torn_tail_ok=True):
@@ -99,18 +98,6 @@ def _read_file(path, *, expect_first=None, torn_tail_ok=True):
         records.append(record)
         valid_bytes = line.end_offset
     return records, valid_bytes
-
-
-def read_wal(path) -> tuple[list[WalRecord], int]:
-    """All durable records of one WAL file plus the byte length they span.
-
-    Returns ``(records, valid_bytes)`` where ``valid_bytes`` is the
-    offset just past the last valid record — a torn final line (crash
-    mid-append) sits beyond it and is tolerated; every other framing
-    violation raises :class:`~repro.errors.RecoveryError`. The file must
-    start at sequence 1; for rotated directories use :func:`read_log`.
-    """
-    return _read_file(path, expect_first=1, torn_tail_ok=True)
 
 
 @dataclass

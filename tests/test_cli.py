@@ -64,11 +64,22 @@ class TestParser:
             build_parser().parse_args(["fleet", "--workers", "2"])
 
     def test_advise_flags(self):
-        args = build_parser().parse_args(
-            ["advise", "--particles", "500", "--engine-mode", "iterator"]
-        )
+        args = build_parser().parse_args(["advise", "--particles", "500"])
         assert args.particles == 500
-        assert args.engine_mode == "iterator"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["advise", "--engine-mode", "iterator"],
+            ["fig1", "--engine-mode", "vector"],
+        ],
+        ids=["advise", "fig1"],
+    )
+    def test_engine_path_is_not_an_option(self, argv):
+        # The engine picks its execution path from the plan.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_replay_flags(self):
         args = build_parser().parse_args(

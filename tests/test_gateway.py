@@ -13,6 +13,7 @@ Three contracts from DESIGN.md's "Gateway conventions":
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -64,6 +65,7 @@ from repro.gateway import (
     to_dict,
     write_trace,
 )
+from repro.gateway.service import fingerprint
 from repro.gateway.trace import iter_trace
 from repro.workloads.fleet import (
     fleet_arrival_trace,
@@ -1046,6 +1048,60 @@ class TestServiceErrorPaths:
         survivor = members(as_of=pinned[1])
         assert not isinstance(survivor, ErrorReply)
         assert survivor.epoch == pinned[1]
+
+    @pytest.mark.parametrize(
+        "query,params",
+        [
+            ("members", dict(table="nope", halo=1)),
+            ("histogram", dict(table="nope", pids=(1, 2))),
+            ("top", dict(tables=("snap_01", "nope"), halo=1)),
+            ("chain", dict(tables=("snap_01", "nope"), halo=1)),
+            ("contributors", dict(tables=("snap_01", "nope"), halo=1)),
+        ],
+        ids=["members", "histogram", "top", "chain", "contributors"],
+    )
+    def test_refused_query_records_nothing(self, tmp_path, query, params):
+        # A template of a missing table in the log made every later
+        # advising round fail, for every tenant, and across recovery.
+        service = self._db_service()
+        service.attach_wal(tmp_path)
+        service.dispatch(RunQuery(tenant="t", query="members", table="snap_01", halo=1))
+        before = fingerprint(service)
+        bad = RunQuery(tenant="t", query=query, **params)
+        reply = service.dispatch(bad)
+        assert isinstance(reply, ErrorReply) and reply.code == "query"
+        assert fingerprint(service) == before
+        service.checkpoint()
+        assert service.dispatch(bad).code == "query"
+        service.close()
+        recovered = PricingService.recover(tmp_path)
+        try:
+            assert fingerprint(recovered) == before
+            advice = recovered.dispatch(AdviseRequest(horizon=4))
+            assert type(advice).__name__ == "AdviseReply"
+        finally:
+            recovered.close()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("dollars_per_byte", -1.0),
+            ("dollars_per_byte", 0.0),
+            ("dollars_per_byte", math.nan),
+            ("dollars_per_byte", math.inf),
+            ("runs_per_slot", math.nan),
+            ("runs_per_slot", math.inf),
+        ],
+    )
+    def test_refused_advice_leaves_the_catalog_alone(self, field, value):
+        # Refused before the round runs ANALYZE, which moves the epoch
+        # and registers statistics later plans read.
+        service = self._db_service()
+        service.dispatch(RunQuery(tenant="t", query="members", table="snap_01", halo=1))
+        before = fingerprint(service)
+        reply = service.dispatch(AdviseRequest(horizon=4, **{field: value}))
+        assert isinstance(reply, ErrorReply) and reply.code == "game-config"
+        assert fingerprint(service) == before
 
 
 # ------------------------------------------------------ retryable contract --

@@ -43,8 +43,9 @@ from repro.db import (
     Table,
     to_vector,
 )
-from repro.db.planner import view_name_for
-from repro.errors import QueryError, SchemaError
+from repro.db import engine as engine_module
+from repro.db.planner import histogram_plan, members_plan, view_name_for
+from repro.errors import SchemaError
 
 rows_strategy = st.lists(
     st.tuples(
@@ -195,53 +196,74 @@ def snapshot_catalog(rng, n, path):
     return catalog, names
 
 
+def run_both_paths(monkeypatch, run):
+    """``run()`` on the default engine path, then with the iterators forced.
+
+    Returns ``(iterator_result, vector_result)``.
+    """
+    vector_result = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_module, "to_vector", lambda plan: None)
+        iterator_result = run()
+    return iterator_result, vector_result
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize("path", ["base", "view", "index"])
     @pytest.mark.parametrize("seed", [0, 7, 2012])
-    def test_merger_tree_queries(self, path, seed):
+    def test_planner_plans_all_translate(self, path, seed):
         rng = np.random.default_rng(seed)
         catalog, names = snapshot_catalog(rng, n=int(rng.integers(30, 400)), path=path)
-        iterator = QueryEngine(catalog, mode="iterator")
-        vector = QueryEngine(catalog, mode="vector")
-        for halo in range(5):
-            members_i = iterator.halo_members(names[1], halo)
-            members_v = vector.halo_members(names[1], halo)
-            assert members_i.rows == members_v.rows
-            assert members_i.meter == members_v.meter
-            assert members_i.source == members_v.source
+        sources = set()
+        for name in names:
+            for halo in range(-1, 5):
+                choice = members_plan(catalog, name, halo)
+                assert to_vector(choice.plan) is not None
+                sources.add(choice.source)
+            for keys in (frozenset(), frozenset(range(3)), frozenset(range(60))):
+                choice = histogram_plan(catalog, name, keys)
+                assert to_vector(choice.plan) is not None
+                sources.add(choice.source)
+        assert path in sources
 
-            top_i, meter_i = iterator.top_contributor(names[1], halo, names[0])
-            top_v, meter_v = vector.top_contributor(names[1], halo, names[0])
-            assert top_i == top_v
-            assert meter_i == meter_v
+    @pytest.mark.parametrize("path", ["base", "view", "index"])
+    @pytest.mark.parametrize("seed", [0, 7, 2012])
+    def test_merger_tree_queries(self, monkeypatch, path, seed):
+        rng = np.random.default_rng(seed)
+        catalog, names = snapshot_catalog(rng, n=int(rng.integers(30, 400)), path=path)
+        engine = QueryEngine(catalog)
 
-        chain_i, chain_meter_i = iterator.halo_chain([names[1], names[0]], 0)
-        chain_v, chain_meter_v = vector.halo_chain([names[1], names[0]], 0)
+        def workload():
+            members = [engine.halo_members(names[1], halo) for halo in range(5)]
+            tops = [
+                engine.top_contributor(names[1], halo, names[0])
+                for halo in range(5)
+            ]
+            histogram = engine.progenitor_histogram(names[0], frozenset(range(40)))
+            chain = engine.halo_chain([names[1], names[0]], 0)
+            return members, tops, histogram, chain
+
+        iterator, vector = run_both_paths(monkeypatch, workload)
+        (members_i, tops_i, histogram_i, chain_i) = iterator
+        (members_v, tops_v, histogram_v, chain_v) = vector
+        for result_i, result_v in zip(
+            members_i + [histogram_i], members_v + [histogram_v], strict=True
+        ):
+            assert result_i.rows == result_v.rows
+            assert result_i.meter == result_v.meter
+            assert result_i.source == result_v.source
+        assert tops_i == tops_v  # (halo, meter) pairs
         assert chain_i == chain_v
-        assert chain_meter_i == chain_meter_v
 
-    def test_auto_mode_matches_both(self):
-        rng = np.random.default_rng(3)
-        catalog, names = snapshot_catalog(rng, n=120, path="base")
-        auto = QueryEngine(catalog)  # default mode
-        iterator = QueryEngine(catalog, mode="iterator")
-        assert auto.mode == "auto"
-        result_auto = auto.progenitor_histogram(names[0], frozenset(range(40)))
-        result_iter = iterator.progenitor_histogram(names[0], frozenset(range(40)))
-        assert result_auto.rows == result_iter.rows
-        assert result_auto.meter == result_iter.meter
-
-    def test_vector_mode_rejects_untranslatable(self):
-        table = make_table([(1, 0, 1.0)])
+    def test_untranslatable_plan_runs_the_iterator(self):
+        table = make_table([(1, 0, 2.0), (2, 1, 1.0), (3, 0, 3.0)])
         catalog = Catalog()
         catalog.create_table(table)
-        engine = QueryEngine(catalog, mode="vector")
-        with pytest.raises(QueryError):
-            engine.execute_plan(Sort(SeqScan(table), "v"), CostMeter())
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(QueryError):
-            QueryEngine(Catalog(), mode="turbo")
+        plan = Sort(SeqScan(table), "v")
+        expected_meter, meter = CostMeter(), CostMeter()
+        expected = plan.materialize(expected_meter)
+        assert QueryEngine(catalog).execute_plan(plan, meter) == expected
+        assert meter == expected_meter
 
 
 class TestColumnarTable:

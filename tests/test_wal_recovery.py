@@ -60,8 +60,10 @@ from repro.gateway.trace import iter_trace, replay_path
 from repro.gateway.wal.checkpoint import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_GLOB,
+    capture_state,
     checkpoint_path,
     load_checkpoint,
+    write_checkpoint,
 )
 from repro.gateway.wal.records import WAL_FILENAME, iter_jsonl, with_checksum
 from repro.gateway.wal.recovery import read_log
@@ -672,6 +674,37 @@ def test_a_format_2_checkpoint_is_refused_naming_both_formats(tmp_path):
     with pytest.raises(RecoveryError, match=refusal) as caught:
         PricingService.recover(directory)
     assert ErrorReply.of(caught.value).code == "recovery"
+
+
+def test_a_checkpoint_carrying_engine_mode_still_restores(tmp_path):
+    # Checkpoints from builds whose query engine took an execution mode
+    # carry an "engine_mode" field; a fresh one does not, and recovery
+    # ignores it.
+    service = _service()
+    service.attach_wal(tmp_path)
+    run_steps(
+        service,
+        [
+            Configure(optimizations=OPTS, horizon=3),
+            [_submit("ann", "idx", 1, (30.0, 30.0))],
+            RunQuery(tenant="ann", query="members", table="snap_01", halo=1),
+            AdvanceSlots(slots=1),
+        ],
+    )
+    expected = fingerprint(service)
+    state = capture_state(service, wal_seq=service._wal.last_seq)
+    service.close()
+    assert "engine_mode" not in state
+    written = write_checkpoint(tmp_path, {**state, "engine_mode": "auto"})
+    for path in tmp_path.glob(CHECKPOINT_GLOB):
+        if path != written:
+            path.unlink()  # recovery must restore the keyed checkpoint
+    assert load_checkpoint(written)["engine_mode"] == "auto"
+    recovered = PricingService.recover(tmp_path)
+    try:
+        assert fingerprint(recovered) == expected
+    finally:
+        recovered.close()
 
 
 def test_an_api_1_9_directory_is_refused_naming_both_versions(tmp_path):

@@ -46,17 +46,10 @@ class AdvisorConfig:
         # Refused here, before a round runs ANALYZE on the catalog.
         if self.horizon < 1:
             raise GameConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if not (math.isfinite(self.runs_per_slot) and self.runs_per_slot > 0):
-            raise GameConfigError(
-                f"runs per slot must be finite and > 0, got {self.runs_per_slot}"
-            )
-        if not (
-            math.isfinite(self.dollars_per_byte) and self.dollars_per_byte > 0
-        ):
-            raise GameConfigError(
-                "storage rate must be finite and > 0, got "
-                f"{self.dollars_per_byte}"
-            )
+        for name in ("dollars_per_byte", "runs_per_slot"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise GameConfigError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)

@@ -196,18 +196,6 @@ def snapshot_catalog(rng, n, path):
     return catalog, names
 
 
-def run_both_paths(monkeypatch, run):
-    """``run()`` on the default engine path, then with the iterators forced.
-
-    Returns ``(iterator_result, vector_result)``.
-    """
-    vector_result = run()
-    with monkeypatch.context() as patch:
-        patch.setattr(engine_module, "to_vector", lambda plan: None)
-        iterator_result = run()
-    return iterator_result, vector_result
-
-
 class TestEngineEquivalence:
     @pytest.mark.parametrize("path", ["base", "view", "index"])
     @pytest.mark.parametrize("seed", [0, 7, 2012])
@@ -243,9 +231,11 @@ class TestEngineEquivalence:
             chain = engine.halo_chain([names[1], names[0]], 0)
             return members, tops, histogram, chain
 
-        iterator, vector = run_both_paths(monkeypatch, workload)
-        (members_i, tops_i, histogram_i, chain_i) = iterator
-        (members_v, tops_v, histogram_v, chain_v) = vector
+        members_v, tops_v, histogram_v, chain_v = workload()
+        with monkeypatch.context() as patch:
+            # The iterator reference: no plan gets a vector translation.
+            patch.setattr(engine_module, "to_vector", lambda plan: None)
+            members_i, tops_i, histogram_i, chain_i = workload()
         for result_i, result_v in zip(
             members_i + [histogram_i], members_v + [histogram_v], strict=True
         ):
